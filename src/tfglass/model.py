@@ -315,14 +315,19 @@ def _gaussian_ln2cosh_mean(mu: float, sigma: float, quad_points: int) -> float:
     """
     mean_abs = sigma * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * (mu / sigma) ** 2)
     mean_abs += mu * math.erf(mu / (sigma * math.sqrt(2.0)))
-    # remainder integrand decays like exp(-2t): truncate where it underflows
-    upper = 30.0
+    # remainder integrand decays like exp(-2t): truncate where it underflows,
+    # and to the folded density's bump at |mu| +- 12 sigma, so a narrow law
+    # still gets all the nodes
+    lower = max(0.0, abs(mu) - 12.0 * sigma)
+    upper = min(30.0, abs(mu) + 12.0 * sigma)
+    if upper <= lower:
+        return mean_abs
     x, w = _leggauss(quad_points)
-    t = 0.5 * upper * (x + 1.0)
+    t = lower + 0.5 * (upper - lower) * (x + 1.0)
     folded = (
         np.exp(-0.5 * ((t - mu) / sigma) ** 2) + np.exp(-0.5 * ((t + mu) / sigma) ** 2)
     ) / (sigma * math.sqrt(2.0 * math.pi))
-    remainder = 0.5 * upper * float(w @ (np.log1p(np.exp(-2.0 * t)) * folded))
+    remainder = 0.5 * (upper - lower) * float(w @ (np.log1p(np.exp(-2.0 * t)) * folded))
     return mean_abs + remainder
 
 

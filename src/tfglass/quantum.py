@@ -30,6 +30,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classical import classical_pressure, crem_truncated_pressure, partial_pressures
 from .errors import DomainError, ValidationError
 from .model import LN2, ConcaveHull, FieldSpec, ln_2cosh, paramagnetic_pressure
@@ -96,6 +98,12 @@ def qgrem_pressure(hull: ConcaveHull, beta: float, field: FieldSpec) -> QuantumP
     return QuantumPressureResult(best_val, best_k, _phases(hull.m, best_k))
 
 
+def _acosh_exp(x: float) -> float:
+    """arcosh(exp(x)) for x >= 0 (clamped at 0) without overflowing exp."""
+    x = max(0.0, x)
+    return x + math.log1p(math.sqrt(-math.expm1(-2.0 * x)))
+
+
 def qgrem_critical_fields(hull: ConcaveHull, beta: float) -> tuple[float, ...]:
     """Field strengths at which each block flips into transversal order.
 
@@ -108,7 +116,7 @@ def qgrem_critical_fields(hull: ConcaveHull, beta: float) -> tuple[float, ...]:
     out = []
     for d_l in partial_pressures(hull, beta).per_length:
         # exp(d_l)/2 = exp(d_l - ln2) >= 1 since d_l >= ln2 for every segment
-        out.append(math.acosh(max(1.0, math.exp(d_l - LN2))) / beta)
+        out.append(_acosh_exp(d_l - LN2) / beta)
     return tuple(out)
 
 
@@ -224,16 +232,21 @@ def transition_scan(
 
     if gamma_max is None:
         t = per_length[0]
-        gamma_max = 1.25 * math.acosh(max(1.0, math.exp(t - LN2))) / beta + 0.1
+        gamma_max = 1.25 * _acosh_exp(t - LN2) / beta + 0.1
 
     gammas = [gamma_max * i / grid_points for i in range(grid_points + 1)]
-    vals = [m_z(g) for g in gammas]
-    width = gamma_max / grid_points
-    budget = 1.5 * beta * width + 1e-12
+    # m_z on the grid, with ln 2cosh taken over the whole grid at once
+    tanhs = [math.tanh(beta * g) for g in gammas]
+    paras = ln_2cosh(beta * np.array(gammas)).tolist()
+    vals = [(1.0 - _cut_point(hull, per_length, p)) * h for p, h in zip(paras, tanhs)]
 
+    # between jumps the cut point is fixed, so a cell's smooth change of m_z
+    # is at most its tanh increment (beta times its width at most, and far
+    # less once beta gamma >> 1)
     candidates = []
-    for (g0, g1), (v0, v1) in zip(zip(gammas, gammas[1:]), zip(vals, vals[1:])):
-        if abs(v1 - v0) <= budget:
+    for (g0, g1), (v0, v1), (h0, h1) in zip(zip(gammas, gammas[1:]), zip(vals, vals[1:]),
+                                            zip(tanhs, tanhs[1:])):
+        if abs(v1 - v0) <= 1.5 * (h1 - h0) + 1e-12:
             continue
         lo, hi, vlo, vhi = g0, g1, v0, v1
         while hi - lo > jump_window:

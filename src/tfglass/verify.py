@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import ive
 
 from .errors import CapacityError, ValidationError
@@ -43,6 +44,7 @@ from .quantum import qgrem_pressure
 
 EXACT_MAX_N = 14
 STOCH_MAX_N = 20
+TILE_COLS = 32  # probe columns per Chebyshev tile: 1 MB per vector block at N = 12
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,54 @@ def _chebyshev_degree(a: float) -> int:
     return int(keep[-1]) + 5 if keep.size else 8
 
 
+def _chebyshev_moments(H2, z, steps):
+    """Moments mu_0 .. mu_2steps of every probe column of z from ``steps``
+    sparse matvecs, with H2 = 2 H~ in CSR form.
+
+    z must be C-contiguous and is overwritten.  The matvec accumulates into
+    its output, so t_prev <- 2 H~ t - t_prev needs only a sign flip of t_prev
+    and no temporary.
+    """
+    def matvec_into(out, x):  # out += H2 @ x
+        csr_matvecs(*H2.shape, x.shape[1], H2.indptr, H2.indices, H2.data, x.ravel(), out.ravel())
+
+    def dots(x, y):  # column-wise inner products
+        return np.einsum("ij,ij->j", x, y)
+
+    mu = np.empty((2 * steps + 1, z.shape[1]))
+    t_prev, t_cur = z, np.zeros_like(z)
+    matvec_into(t_cur, z)
+    t_cur *= 0.5  # t_1 = H~ z
+    mu[0] = dots(z, z)
+    mu[1] = dots(z, t_cur)
+    mu[2] = 2.0 * dots(t_cur, t_cur) - mu[0]
+    for k in range(2, steps + 1):
+        np.negative(t_prev, out=t_prev)
+        matvec_into(t_prev, t_cur)
+        t_prev, t_cur = t_cur, t_prev  # t_cur = t_k
+        mu[2 * k - 1] = 2.0 * dots(t_cur, t_prev) - mu[1]
+        mu[2 * k] = 2.0 * dots(t_cur, t_cur) - mu[0]
+    return mu
+
+
 def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
     """Hutchinson estimates of Tr exp(-beta (H - lo)) for several betas.
 
-    Shares one Chebyshev recurrence across betas (the scaled matrix does not
-    depend on beta, only the coefficients do).  Returns per-beta
-    (trace_mean, trace_stderr, sup_err, lo) with the anchor lo = Gershgorin
-    lower bound, plus the polynomial degree used.
+    The kernel polynomial method (Weisse, Wellein, Alvermann and Fehske,
+    Rev. Mod. Phys. 78, 275 (2006)): with H~ the Hamiltonian scaled onto
+    [-1, 1] and t_k = T_k(H~) z, each Rademacher probe z yields its Chebyshev
+    moments mu_k = z^T t_k from the doubling identities
+
+        mu_2k = 2 <t_k, t_k> - mu_0,    mu_2k+1 = 2 <t_k+1, t_k> - mu_1,
+
+    so degree D costs ceil(D/2) sparse matvecs.  The moments do not depend on
+    beta: the trace sample of every beta is its coefficient vector times the
+    same moment matrix.  Probes are drawn in blocks capped at 2^24 entries
+    (the draws, hence the probes of a given seed, do not depend on the
+    tiling) and walked in tiles of TILE_COLS columns, so the recurrence runs
+    in place on cache-sized arrays.  Returns per-beta (trace_mean,
+    trace_stderr, sup_err, lo) with the anchor lo = Gershgorin lower bound,
+    plus the polynomial degree used.
     """
     if probes < 1:
         raise ValidationError("need at least one probe")
@@ -244,9 +287,10 @@ def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
     half = 0.5 * (hi - lo)
     center = 0.5 * (hi + lo)
 
-    Hs = sparse_hamiltonian(inst)
-    Hs.setdiag((inst.potential - center))
-    Hs = Hs.multiply(1.0 / half).tocsr()
+    # 2 H~, so that one accumulating matvec writes 2 H~ t - t_prev in place
+    H2 = sparse_hamiltonian(inst)
+    H2.setdiag((inst.potential - center))
+    H2 = H2.multiply(2.0 / half).tocsr()
 
     a_vals = [beta * half for beta in betas]
     degree = poly_degree if poly_degree is not None else _chebyshev_degree(max(a_vals))
@@ -260,29 +304,22 @@ def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
         sup_errs.append(float(np.max(np.abs(approx - np.exp(-a * (x_grid + 1.0))))))
         coeffs.append(c)
 
+    steps = (degree + 1) // 2  # ceil(degree / 2) matvecs per probe tile
     rng = np.random.default_rng(seed)
-    chunk = max(1, min(probes, (1 << 24) // dim))
-    quads = [[] for _ in betas]
+    block = max(1, min(probes, (1 << 24) // dim))
+    tiles = []
     done = 0
     while done < probes:
-        p = min(chunk, probes - done)
+        p = min(block, probes - done)
         Z = rng.integers(0, 2, size=(dim, p)).astype(float) * 2.0 - 1.0
-        t_prev = Z
-        t_cur = Hs @ Z
-        accs = [c[0] * t_prev + c[1] * t_cur for c in coeffs]
-        for k in range(2, degree + 1):
-            t_nxt = 2.0 * (Hs @ t_cur) - t_prev
-            for acc, c in zip(accs, coeffs):
-                if abs(c[k]) > 0.0:
-                    acc += c[k] * t_nxt
-            t_prev, t_cur = t_cur, t_nxt
-        for q, acc in zip(quads, accs):
-            q.append(np.einsum("ij,ij->j", Z, acc))
+        for j in range(0, p, TILE_COLS):
+            tiles.append(_chebyshev_moments(H2, np.ascontiguousarray(Z[:, j:j + TILE_COLS]), steps))
         done += p
+    moments = np.hstack(tiles)[: degree + 1]
 
     out = []
-    for q, sup_err in zip(quads, sup_errs):
-        samples = np.concatenate(q)
+    for c, sup_err in zip(coeffs, sup_errs):
+        samples = c @ moments  # one trace sample per probe
         mean = float(samples.mean())
         stderr = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else math.inf
         out.append((mean, stderr, sup_err, lo))
@@ -349,7 +386,15 @@ def _phi_one(spec, field, N, beta, seed, frozen_weights, method, probes):
     use_exact = method == "exact" or (method == "auto" and N <= 10)
     if use_exact:
         return exact_pressure(inst, beta)
-    return stochastic_pressure(inst, beta, probes, seed=seed).value
+    value = stochastic_pressure(inst, beta, probes, seed=seed).value
+    if not math.isfinite(value):
+        # at large beta the alternating Chebyshev sum on the Gershgorin
+        # interval cancels below its own rounding
+        raise CapacityError(
+            f"stochastic trace estimate is not finite at N={N}, beta={beta}, "
+            f"replica seed {seed}; use method='exact' (N <= {EXACT_MAX_N})"
+        )
+    return value
 
 
 def _map_replicas(fn, n, workers):

@@ -1,14 +1,19 @@
 """Independent oracles the tests compare against.
 
 Everything here deliberately avoids the package's own code paths: the hull
-oracle enumerates chains over point subsets instead of scanning, and the
-pressure oracles recompute the closed forms in mpmath arbitrary precision.
+oracle enumerates chains over point subsets instead of scanning, the
+pressure oracles recompute the closed forms in mpmath arbitrary precision,
+and the trace oracle runs the Chebyshev recurrence forward over every degree.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
+import scipy.sparse
+from scipy.special import ive
 
 mp.mp.dps = 40
 
@@ -104,6 +109,53 @@ def mp_gaussian_paramagnetic(mean, stddev, beta):
         return mp_ln2cosh(beta * mean)
     density = lambda t: mp.exp(-t**2 / 2) / mp.sqrt(2 * mp.pi)
     return mp.quad(lambda t: density(t) * mp_ln2cosh(beta * (mean + stddev * t)), [-mp.inf, mp.inf])
+
+
+def forward_chebyshev_traces(inst, betas, probes, seed, degree):
+    """Hutchinson samples of Tr exp(-beta (H - lo)), one array per beta, and lo.
+
+    The forward form of the estimator: every probe block Z runs T_k(H~) Z for
+    k = 1 .. degree and accumulates c_k T_k(H~) Z per beta, then takes z^T acc
+    per probe.  Probes are the Rademacher blocks of at most 2^24 entries that
+    the package draws for the same seed; the Hamiltonian is built here from
+    the instance's potential and field weights.
+    """
+    N, U, b = inst.N, inst.potential, inst.field_weights
+    dim = 1 << N
+    lo = float(U.min()) - float(np.abs(b).sum())
+    hi = float(U.max()) + float(np.abs(b).sum())
+    half, center = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    idx = np.arange(dim)
+    rows = np.concatenate([idx] * (N + 1))
+    cols = np.concatenate([idx] + [idx ^ (1 << (N - 1 - j)) for j in range(N)])
+    data = np.concatenate([U - center] + [np.full(dim, -b[j]) for j in range(N)])
+    Hs = scipy.sparse.csr_matrix((data / half, (rows, cols)), shape=(dim, dim))
+
+    ks = np.arange(degree + 1)
+    coeffs = [np.where(ks == 0, 1.0, 2.0) * (-1.0) ** ks * ive(ks, beta * half) for beta in betas]
+    rng = np.random.default_rng(seed)
+    chunk = max(1, min(probes, (1 << 24) // dim))
+    samples = [[] for _ in betas]
+    done = 0
+    while done < probes:
+        p = min(chunk, probes - done)
+        Z = rng.integers(0, 2, size=(dim, p)).astype(float) * 2.0 - 1.0
+        t_prev, t_cur = Z, Hs @ Z
+        accs = [c[0] * t_prev + c[1] * t_cur for c in coeffs]
+        for k in range(2, degree + 1):
+            t_prev, t_cur = t_cur, 2.0 * (Hs @ t_cur) - t_prev
+            for acc, c in zip(accs, coeffs):
+                acc += c[k] * t_cur
+        for out, acc in zip(samples, accs):
+            out.append(np.einsum("ij,ij->j", Z, acc))
+        done += p
+    return [np.concatenate(s) for s in samples], lo
+
+
+def forward_stochastic_pressure(inst, beta, probes, seed, degree):
+    """(1/N) ln of the forward trace estimate: the pressure without error bar."""
+    (samples,), lo = forward_chebyshev_traces(inst, [beta], probes, seed, degree)
+    return (-beta * lo + math.log(float(samples.mean()))) / inst.N
 
 
 # Frozen worked scalars (mpmath, 40 digits, formulas above).  The printed

@@ -184,3 +184,11 @@ class TestVerify:
         assert main(base + ["--out", str(a)]) == 0
         assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_finite_stochastic_estimate_exits_with_capacity(self, models):
+        # beta = 8 at N = 9: the Chebyshev sum on the Gershgorin interval
+        # cancels to a non-positive trace for one of the replicas
+        rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
+                   "--beta", "8", "--N", "9", "--replicas", "4", "--seed", "3",
+                   "--method", "stochastic", "--probes", "16", "--out", "-"])
+        assert rc == 4

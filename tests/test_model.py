@@ -155,6 +155,14 @@ class TestParamagneticPressure:
             got = paramagnetic_pressure(FieldSpec.gaussian(mean, sd), beta)
             assert got == pytest.approx(want, abs=1e-10)
 
+    def test_gaussian_narrow_law_matches_quadrature_oracle(self):
+        # the folded density is a bump of width beta*sigma at |beta*mu|
+        for sd in (1e-6, 1e-4, 1e-3, 0.02, 0.05, 0.3, 1.0, 5.0):
+            for mean in (0.0, 0.5, 3.0, -2.0):
+                want = float(mp_gaussian_paramagnetic(mean, sd, 1.0))
+                got = paramagnetic_pressure(FieldSpec.gaussian(mean, sd), 1.0)
+                assert got == pytest.approx(want, abs=1e-10), (mean, sd)
+
     def test_empirical_is_sample_mean(self):
         samples = [0.3, -1.2, 2.0]
         want = np.mean([float(ln_2cosh(1.1 * s)) for s in samples])

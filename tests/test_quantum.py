@@ -34,6 +34,7 @@ from oracles import (
 
 REM = concave_hull(DistributionSpec.rem())
 GREM = concave_hull(DistributionSpec.from_jumps([0.7, 0.3], [0.5, 1.0]))
+GREM3 = concave_hull(DistributionSpec.from_jumps([0.5, 0.3, 0.2], [1 / 3, 2 / 3, 1.0]))
 
 
 def smooth_hull(n_segments, coeff=0.5):
@@ -129,6 +130,14 @@ class TestCriticalFields:
     def test_beta_zero_rejected(self):
         with pytest.raises(DomainError):
             qgrem_critical_fields(REM, 0.0)
+
+    def test_large_beta_does_not_overflow(self):
+        # arcosh(exp(x)) with x = d_l - ln 2 far above the exp overflow at 709
+        for hull in (REM, GREM, GREM3):
+            for beta in (1.0, 1e2, 1e3):
+                want = [float(v) for v in mp_gamma_c(hull.increments, hull.lengths, beta)]
+                got = qgrem_critical_fields(hull, beta)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_indicator_form_equals_maximum(self, rng):
         # cross-check of the two formulations of the constant-field pressure
@@ -284,3 +293,13 @@ class TestTransitionScan:
     def test_beta_zero_rejected(self):
         with pytest.raises(DomainError):
             transition_scan(REM, 0.0)
+
+    def test_large_beta_one_first_order_line_per_block(self):
+        # tanh(beta gamma) is flat at every critical field, so jumps of
+        # L_l < 1 must still stand out of the smooth-change budget
+        beta = 1e3
+        for hull in (REM, GREM, GREM3):
+            scan = transition_scan(hull, beta)
+            assert [t.order for t in scan] == [TransitionOrder.FIRST] * hull.m
+            want = sorted(qgrem_critical_fields(hull, beta))
+            assert [t.gamma for t in scan] == pytest.approx(want, abs=1e-4)

@@ -19,11 +19,14 @@ from tfglass import (
 )
 from tfglass.model import ln_2cosh
 from tfglass.verify import (
+    _stochastic_traces,
     dense_hamiltonian,
     diagonal_pressure,
     exact_spectrum,
     field_only_pressure,
 )
+
+from oracles import forward_stochastic_pressure
 
 LN2 = math.log(2.0)
 
@@ -176,6 +179,32 @@ class TestStochasticPressure:
         assert a == b
 
 
+class TestChebyshevMoments:
+    """The moment kernel against the forward-accumulation oracle."""
+
+    def test_matches_forward_recurrence_per_replica(self):
+        for N in (8, 10, 12):
+            for beta in (0.8, 1.2):
+                for replica, spec in ((1, REM_SPEC), (2, GREM_SPEC)):
+                    inst = sample_instance(spec, CONST1, N, [N, replica])
+                    est = stochastic_pressure(inst, beta, probes=128, seed=replica)
+                    want = forward_stochastic_pressure(inst, beta, 128, replica, est.degree)
+                    assert abs(est.value - want) <= 1e-8, (N, beta, replica)
+
+    def test_beta_grid_equals_single_beta_calls_bitwise(self):
+        inst = sample_instance(GREM_SPEC, CONST1, 10, 5)
+        both, degree = _stochastic_traces(inst, [0.8, 1.2], 96, 4)
+        first, _ = _stochastic_traces(inst, [0.8], 96, 4, degree)
+        second, _ = _stochastic_traces(inst, [1.2], 96, 4, degree)
+        assert both == first + second
+
+    def test_error_bar_covers_exact_where_cancellation_dominates(self):
+        for seed in (1, 2):
+            inst = sample_instance(REM_SPEC, CONST1, 10, seed)
+            est = stochastic_pressure(inst, 2.5, probes=128, seed=seed)
+            assert abs(est.value - exact_pressure(inst, 2.5)) <= est.error
+
+
 class TestSignInvariance:
     def test_random_flip_patterns_leave_diagonal_fixed(self):
         inst = sample_instance(GREM_SPEC, CONST1, 6, 21)
@@ -242,6 +271,12 @@ class TestConvergenceStudy:
         a = convergence_study(REM_SPEC, CONST1, 1.0, [6], replicas=10, seed=7)
         b = convergence_study(REM_SPEC, CONST1, 1.0, [6], replicas=10, seed=7, workers=2)
         assert a == b
+
+    def test_non_finite_stochastic_replica_raises(self):
+        # at beta = 8 the alternating Chebyshev sum cancels to a non-positive
+        # trace estimate for one replica; it must not be averaged in as nan
+        with pytest.raises(CapacityError, match=r"N=9, beta=8.0, replica seed \[3, 9, 4\]"):
+            convergence_study(REM_SPEC, CONST1, 8.0, [9], 4, seed=3, method="stochastic", probes=16)
 
     def test_freeze_field_freezes_weights(self):
         f = FieldSpec.gaussian(0.0, 1.0)
