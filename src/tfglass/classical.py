@@ -47,8 +47,8 @@ class PartialPressureTable:
 
 def partial_pressures(hull: ConcaveHull, beta: float) -> PartialPressureTable:
     """Evaluate every segment's partial pressure at inverse temperature beta."""
-    if beta < 0.0:
-        raise DomainError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError("beta must be finite and >= 0")
     phi, fbeta, frozen = [], [], []
     for a_l, L_l, g_l in zip(hull.increments, hull.lengths, hull.slopes):
         b_l = math.sqrt(_TWO_LN2 / g_l) if g_l > 0.0 else math.inf
@@ -75,8 +75,8 @@ def freezing_boundary(hull: ConcaveHull, beta: float) -> float:
     does not qualify (the defining inequality is strict), which keeps the
     truncated pressure continuous in beta.  beta = 0 returns 0 by convention.
     """
-    if beta < 0.0:
-        raise DomainError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError("beta must be finite and >= 0")
     if beta == 0.0:
         return 0.0
     threshold = _TWO_LN2 / (beta * beta)
@@ -97,8 +97,8 @@ def crem_truncated_pressure(hull: ConcaveHull, beta: float, z: float) -> float:
     (if z reaches past x(beta)) contributes the quadratic-plus-entropy terms.
     At z = span this reproduces classical_pressure exactly.
     """
-    if beta < 0.0:
-        raise DomainError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError("beta must be finite and >= 0")
     if not 0.0 <= z <= hull.span + 1e-15:
         raise DomainError(f"z={z} outside [0, {hull.span}]")
     x_beta = freezing_boundary(hull, beta)

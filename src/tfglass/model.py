@@ -65,7 +65,8 @@ class DistributionSpec:
             raise ValidationError("breakpoints must be strictly increasing")
         if xs[-1] != 1.0:
             raise ValidationError("last breakpoint must be exactly 1")
-        if vals[0] < 0.0 or any(b < a for a, b in zip(vals, vals[1:])):
+        # negated comparisons, so that a NaN value fails them too
+        if not vals[0] >= 0.0 or any(not b >= a for a, b in zip(vals, vals[1:])):
             raise ValidationError("profile values must be non-negative and non-decreasing")
         if self.normalized and abs(vals[-1] - 1.0) > _SUM_TOL:
             raise ValidationError(f"normalized profile must reach 1 at x=1, got {vals[-1]!r}")
@@ -253,6 +254,9 @@ class FieldSpec:
     samples: tuple[float, ...] = ()
 
     def __post_init__(self):
+        numbers = (self.gamma, self.mean, self.stddev, *self.samples, *sum(self.atoms, ()))
+        if not all(map(math.isfinite, numbers)):
+            raise ValidationError("field law parameters must be finite")
         if self.law is FieldLaw.CONSTANT:
             if self.gamma < 0.0:
                 raise ValidationError("constant field strength must be >= 0")
@@ -333,8 +337,8 @@ def _gaussian_ln2cosh_mean(mu: float, sigma: float, quad_points: int) -> float:
 
 def paramagnetic_pressure(field: FieldSpec, beta: float, quad_points: int = 256) -> float:
     """E[ln 2 cosh(beta * b)]: the pressure of the free quantum paramagnet."""
-    if beta < 0.0:
-        raise DomainError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError("beta must be finite and >= 0")
     if field.law is FieldLaw.CONSTANT:
         return float(ln_2cosh(beta * field.gamma))
     if field.law is FieldLaw.DISCRETE:

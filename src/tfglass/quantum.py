@@ -18,10 +18,10 @@ p(beta * gamma) >= phi_l / L_l, giving the critical fields
     gamma_c(l) = arcosh(exp(phi_l / L_l) / 2) / beta,
 
 strictly decreasing in l.  The transversal magnetization follows from the
-generalized inverse of z -> d(Phi)/dz and jumps by L_l * tanh(beta gamma) at
-each critical field of a kinked hull; for finely discretized smooth hulls
-those jumps shrink with the segment lengths and the transition turns second
-order.
+generalized inverse of z -> d(Phi)/dz.  It is smooth between critical fields
+and jumps by exactly L_l * tanh(beta gamma_c(l)) at each one, which is where
+the transition lines sit.  For finely discretized smooth hulls those jumps
+shrink with the segment lengths and the transition turns second order.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .classical import classical_pressure, crem_truncated_pressure, partial_pressures
 from .errors import DomainError, ValidationError
@@ -108,32 +106,28 @@ def qgrem_critical_fields(hull: ConcaveHull, beta: float) -> tuple[float, ...]:
     """Field strengths at which each block flips into transversal order.
 
     Strictly decreasing in the block index: the steepest (most glassy) block
-    resists the field longest.  Undefined at beta = 0.
+    resists the field longest.  A flat segment (d_l = ln 2) flips at exactly
+    0.  Undefined at beta = 0.
     """
     _require_full_span(hull)
-    if beta <= 0.0:
-        raise DomainError("critical fields need beta > 0")
-    out = []
-    for d_l in partial_pressures(hull, beta).per_length:
-        # exp(d_l)/2 = exp(d_l - ln2) >= 1 since d_l >= ln2 for every segment
-        out.append(_acosh_exp(d_l - LN2) / beta)
-    return tuple(out)
+    if not 0.0 < beta < math.inf:
+        raise DomainError("critical fields need a finite beta > 0")
+    per_length = partial_pressures(hull, beta).per_length
+    # exp(d_l)/2 = exp(d_l - ln2) >= 1 since d_l >= ln2 for every segment
+    return tuple(_acosh_exp(d_l - LN2) / beta if g_l > 0.0 else 0.0
+                 for d_l, g_l in zip(per_length, hull.slopes))
 
 
 def qcrem_pressure(hull: ConcaveHull, beta: float, field: FieldSpec) -> QuantumPressureResult:
     """Truncated-pressure formula: best cut point z over {0} and the hull kinks.
 
-    On step profiles this agrees with qgrem_pressure; ties go to the leftmost
-    maximizing z.
+    The truncated pressure at kink y_K is sum_{l<=K} phi_l, so this is the
+    step formula with its cut index K mapped to the cut point y_K (0 for
+    K = 0); ties go to the leftmost maximizing z.
     """
-    _require_full_span(hull)
-    p = paramagnetic_pressure(field, beta)
-    best_val, best_z, best_k = p, 0.0, 0
-    for k, y_l in enumerate(hull.support, start=1):
-        val = crem_truncated_pressure(hull, beta, y_l) + (1.0 - y_l) * p
-        if val > best_val:
-            best_val, best_z, best_k = val, y_l, k
-    return QuantumPressureResult(best_val, best_z, _phases(hull.m, best_k))
+    res = qgrem_pressure(hull, beta, field)
+    cut = hull.support[res.argmax - 1] if res.argmax else 0.0
+    return QuantumPressureResult(res.value, cut, res.block_phases)
 
 
 def _cut_point(hull: ConcaveHull, per_length: tuple[float, ...], p: float) -> float:
@@ -158,8 +152,8 @@ def qcrem_closed_form(hull: ConcaveHull, beta: float, gamma: float) -> float:
     mixed cut g in between.
     """
     _require_full_span(hull)
-    if gamma < 0.0:
-        raise DomainError("gamma must be >= 0")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError("gamma must be finite and >= 0")
     p = float(ln_2cosh(beta * gamma))
     per_length = partial_pressures(hull, beta).per_length
     s, t = per_length[-1], per_length[0]
@@ -180,10 +174,10 @@ def magnetization(hull: ConcaveHull, beta: float, gamma: float) -> float:
     convention of the indicator form of the pressure.
     """
     _require_full_span(hull)
-    if beta <= 0.0:
-        raise DomainError("magnetization needs beta > 0")
-    if gamma < 0.0:
-        raise DomainError("gamma must be >= 0")
+    if not 0.0 < beta < math.inf:
+        raise DomainError("magnetization needs a finite beta > 0")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError("gamma must be finite and >= 0")
     p = float(ln_2cosh(beta * gamma))
     per_length = partial_pressures(hull, beta).per_length
     g = _cut_point(hull, per_length, p)
@@ -194,98 +188,41 @@ def transition_scan(
     hull: ConcaveHull,
     beta: float,
     *,
-    gamma_max: float | None = None,
-    grid_points: int = 4096,
-    jump_window: float = 1e-6,
     first_order_jump_tol: float = 1e-3,
     second_order_slope_tol: float = 1e-2,
-    slope_window: float = 1e-3,
     cluster_gap: float | None = None,
 ) -> tuple[Transition, ...]:
-    """Locate and classify the magnetic transitions at fixed beta.
+    """The magnetic transitions at fixed beta, classified, in increasing gamma.
 
-    The scan works on magnetization values only: a uniform gamma grid flags
-    cells whose m_z change exceeds the smooth-slope budget, each flagged cell
-    is bisected down to ``jump_window``, and the concentrated jump decides the
-    order.  A jump above ``first_order_jump_tol`` is first order; otherwise a
-    change of dm_z/dgamma above ``second_order_slope_tol`` (measured over
-    ``slope_window`` on each side) marks second order, and candidates failing
-    both are discarded as numerical dust.
+    m_z is smooth between critical fields.  At the critical field gamma_c of a
+    segment with positive slope it jumps by L_l tanh(beta gamma_c) and its
+    slope by L_l beta sech^2(beta gamma_c); a flat segment is paramagnetic at
+    every gamma > 0.  A jump of at least ``first_order_jump_tol`` is first
+    order, a smaller one second order if its slope jump reaches
+    ``second_order_slope_tol``, and dropped otherwise.
 
-    Finely discretized smooth profiles produce a staircase of micro-jumps,
-    one per hull kink, that a continuum model would not have.  Passing
-    ``cluster_gap`` groups such candidates closer than the gap (after the
-    first-order test) into one band and reports only the band edges, each
-    second order: the physical transition lines of the underlying smooth
-    model.  All thresholds are configurable because the split between orders
-    is a resolution statement, not an intrinsic property of a piecewise-linear
-    hull.
+    Finely discretized smooth profiles produce one micro-jump per hull kink,
+    which a continuum model would not have.  ``cluster_gap`` groups the
+    sub-first-order jumps closer than the gap into a band and reports only
+    its edges, second order: the transition lines of the underlying smooth
+    model.  The thresholds are arguments because the split between orders is
+    a resolution statement, not a property of a piecewise-linear hull.
     """
-    _require_full_span(hull)
-    if beta <= 0.0:
-        raise DomainError("transition scan needs beta > 0")
-    per_length = partial_pressures(hull, beta).per_length
-
-    def m_z(g: float) -> float:
-        p = float(ln_2cosh(beta * g))
-        return (1.0 - _cut_point(hull, per_length, p)) * math.tanh(beta * g)
-
-    if gamma_max is None:
-        t = per_length[0]
-        gamma_max = 1.25 * _acosh_exp(t - LN2) / beta + 0.1
-
-    gammas = [gamma_max * i / grid_points for i in range(grid_points + 1)]
-    # m_z on the grid, with ln 2cosh taken over the whole grid at once
-    tanhs = [math.tanh(beta * g) for g in gammas]
-    paras = ln_2cosh(beta * np.array(gammas)).tolist()
-    vals = [(1.0 - _cut_point(hull, per_length, p)) * h for p, h in zip(paras, tanhs)]
-
-    # between jumps the cut point is fixed, so a cell's smooth change of m_z
-    # is at most its tanh increment (beta times its width at most, and far
-    # less once beta gamma >> 1)
-    candidates = []
-    for (g0, g1), (v0, v1), (h0, h1) in zip(zip(gammas, gammas[1:]), zip(vals, vals[1:]),
-                                            zip(tanhs, tanhs[1:])):
-        if abs(v1 - v0) <= 1.5 * (h1 - h0) + 1e-12:
+    found, groups = [], []
+    crit = zip(qgrem_critical_fields(hull, beta), hull.lengths, hull.slopes)
+    for gc, L_l, g_l in reversed(list(crit)):  # increasing gamma
+        if g_l == 0.0:
             continue
-        lo, hi, vlo, vhi = g0, g1, v0, v1
-        while hi - lo > jump_window:
-            mid = 0.5 * (lo + hi)
-            vm = m_z(mid)
-            if abs(vm - vlo) >= abs(vhi - vm):
-                hi, vhi = mid, vm
-            else:
-                lo, vlo = mid, vm
-        star = 0.5 * (lo + hi)
-        jump = m_z(star + 0.5 * jump_window) - m_z(star - 0.5 * jump_window)
-        if candidates and star - candidates[-1][0] < 4.0 * jump_window:
-            continue
-        candidates.append((star, jump))
-
-    firsts = [(g, j) for g, j in candidates if abs(j) >= first_order_jump_tol]
-    smalls = [(g, j) for g, j in candidates if abs(j) < first_order_jump_tol]
-
-    found = [Transition(g, TransitionOrder.FIRST, j) for g, j in firsts]
-
-    def slope_jump(g: float) -> float:
-        d, w = jump_window, slope_window
-        left = (m_z(g - d) - m_z(g - d - w)) / w
-        right = (m_z(g + d + w) - m_z(g + d)) / w
-        return right - left
-
-    groups: list[list[tuple[float, float]]] = []
-    for cand in smalls:
-        if cluster_gap is not None and groups and cand[0] - groups[-1][-1][0] <= cluster_gap:
+        jump = L_l * math.tanh(beta * gc)
+        e = math.exp(-2.0 * beta * gc)  # sech^2 x = 4 e^-2x / (1 + e^-2x)^2 cannot overflow
+        cand = (gc, jump, 4.0 * L_l * beta * e / (1.0 + e) ** 2)
+        if jump >= first_order_jump_tol:
+            found.append(Transition(gc, TransitionOrder.FIRST, jump))
+        elif cluster_gap is not None and groups and gc - groups[-1][-1][0] <= cluster_gap:
             groups[-1].append(cand)
         else:
             groups.append([cand])
-    for grp in groups:
-        if len(grp) >= 2:
-            found.append(Transition(grp[0][0], TransitionOrder.SECOND, grp[0][1]))
-            found.append(Transition(grp[-1][0], TransitionOrder.SECOND, grp[-1][1]))
-        else:
-            g, j = grp[0]
-            if abs(slope_jump(g)) >= second_order_slope_tol:
-                found.append(Transition(g, TransitionOrder.SECOND, j))
-
+    for grp in groups:  # a band reports its two edges, a lone jump only itself
+        if len(grp) >= 2 or grp[0][2] >= second_order_slope_tol:
+            found += [Transition(g, TransitionOrder.SECOND, j) for g, j, _ in {grp[0], grp[-1]}]
     return tuple(sorted(found, key=lambda tr: tr.gamma))

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.sparse._sparsetools import csr_matvecs
-from scipy.special import ive
+from scipy.special import ive, logsumexp
 
 from .errors import CapacityError, ValidationError
 from .model import (
@@ -129,19 +129,8 @@ def sample_instance(spec, field: FieldSpec, N: int, seed) -> FiniteInstance:
     return FiniteInstance(N, U, np.asarray(b, dtype=float), seed)
 
 
-def dense_hamiltonian(inst: FiniteInstance) -> np.ndarray:
-    """Full 2^N x 2^N matrix: energies on the diagonal, -b_j on single flips."""
-    dim = 1 << inst.N
-    H = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    H[idx, idx] = inst.potential
-    for j in range(inst.N):
-        flip = idx ^ (1 << (inst.N - 1 - j))
-        H[idx, flip] = -inst.field_weights[j]
-    return H
-
-
 def sparse_hamiltonian(inst: FiniteInstance) -> scipy.sparse.csr_matrix:
+    """2^N x 2^N Hamiltonian: energies on the diagonal, -b_j on single flips."""
     dim = 1 << inst.N
     idx = np.arange(dim)
     rows = [idx]
@@ -157,6 +146,10 @@ def sparse_hamiltonian(inst: FiniteInstance) -> scipy.sparse.csr_matrix:
     )
 
 
+def dense_hamiltonian(inst: FiniteInstance) -> np.ndarray:
+    return sparse_hamiltonian(inst).toarray()
+
+
 def _check_exact(inst: FiniteInstance):
     if inst.N > EXACT_MAX_N:
         raise CapacityError(
@@ -170,22 +163,19 @@ def exact_spectrum(inst: FiniteInstance) -> np.ndarray:
     return scipy.linalg.eigvalsh(dense_hamiltonian(inst), overwrite_a=True, check_finite=False)
 
 
-def _pressure_from_eigs(eigs: np.ndarray, beta: float, N: int) -> float:
-    lo = float(eigs.min())
-    return (-beta * lo + math.log(np.exp(-beta * (eigs - lo)).sum())) / N
+def _pressure_from_levels(levels: np.ndarray, beta: float, N: int) -> float:
+    """(1/N) ln sum_i exp(-beta levels_i), overflow-safe."""
+    return float(logsumexp(-beta * levels)) / N
 
 
 def exact_pressure(inst: FiniteInstance, beta: float) -> float:
-    """(1/N) ln Tr exp(-beta H) from the full spectrum, log-sum-exp anchored
-    at the minimal eigenvalue."""
-    return _pressure_from_eigs(exact_spectrum(inst), beta, inst.N)
+    """(1/N) ln Tr exp(-beta H) from the full spectrum."""
+    return _pressure_from_levels(exact_spectrum(inst), beta, inst.N)
 
 
 def diagonal_pressure(inst: FiniteInstance, beta: float) -> float:
     """Field-free lower bound: (1/N) ln sum_sigma exp(-beta U(sigma))."""
-    U = inst.potential
-    lo = float(U.min())
-    return (-beta * lo + math.log(np.exp(-beta * (U - lo)).sum())) / inst.N
+    return _pressure_from_levels(inst.potential, beta, inst.N)
 
 
 def field_only_pressure(inst: FiniteInstance, beta: float) -> float:

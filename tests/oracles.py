@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own code paths: the hull
 oracle enumerates chains over point subsets instead of scanning, the
 pressure oracles recompute the closed forms in mpmath arbitrary precision,
-and the trace oracle runs the Chebyshev recurrence forward over every degree.
+the cut-point oracle maximizes the truncated pressure over the kinks instead
+of summing partial pressures, and the trace oracle runs the Chebyshev
+recurrence forward over every degree.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import mpmath as mp
 import numpy as np
 import scipy.sparse
 from scipy.special import ive
+
+from tfglass import crem_truncated_pressure
 
 mp.mp.dps = 40
 
@@ -98,8 +102,24 @@ def mp_gamma_c(abars, lengths, beta):
     out = []
     for a, l in zip(abars, lengths):
         d = mp_partial_pressure(a, l, beta) / mp.mpf(l)
-        out.append(mp.acosh(mp.exp(d) / 2) / beta)
+        # d >= ln 2, with equality on a flat segment up to the last digit
+        out.append(mp.acosh(max(mp.exp(d) / 2, 1)) / beta)
     return out
+
+
+def kink_cut_pressure(hull, beta, p):
+    """max over z in {0} and the hull kinks of crem_truncated_pressure(z) + (1 - z) p.
+
+    Returns (value, maximizing z), ties going to the leftmost z: the
+    truncated-pressure formula evaluated as written, one truncated pressure
+    per kink.
+    """
+    best, best_z = p, 0.0
+    for y in hull.support:
+        val = crem_truncated_pressure(hull, beta, y) + (1.0 - y) * p
+        if val > best:
+            best, best_z = val, y
+    return best, best_z
 
 
 def mp_gaussian_paramagnetic(mean, stddev, beta):

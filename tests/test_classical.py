@@ -201,3 +201,14 @@ class TestTruncatedPressure:
         val = crem_truncated_pressure(hull, 1.1, 1.0)
         assert val == pytest.approx(classical_pressure(hull, 1.1), abs=1e-13)
         assert val == pytest.approx(float(mp_classical(hull.increments, hull.lengths, 1.1)), abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda b: partial_pressures(REM, b),
+    lambda b: freezing_boundary(REM, b),
+    lambda b: crem_truncated_pressure(REM, b, 0.5),
+], ids=["partial-pressures", "freezing-boundary", "truncated-pressure"])
+def test_non_finite_beta_rejected(call, beta):
+    with pytest.raises(DomainError):
+        call(beta)

@@ -120,6 +120,14 @@ class TestErrors:
                    "--gamma", "0.5", "--out", "-"])
         assert rc == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["pressure", "--beta", "nan", "--gamma", "1.0"],
+        ["pressure", "--beta", "1.0", "--gamma", "inf"],
+        ["phase-diagram", "--beta", "inf", "--gamma", "0:2:5"],
+    ])
+    def test_non_finite_grid_is_validation_error(self, models, argv):
+        assert main(argv + ["--model", str(models["rem"]), "--out", "-"]) == 2
+
     def test_missing_seed_for_verify(self, models):
         rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
                    "--beta", "1.2", "--N", "4", "--replicas", "5", "--out", "-"])

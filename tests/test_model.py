@@ -51,6 +51,16 @@ class TestDistributionSpec:
         with pytest.raises(ValidationError):
             DistributionSpec.step(xs, values)
 
+    @pytest.mark.parametrize("make", [
+        lambda: DistributionSpec.step([0.5, 1.0], [math.nan, 1.0]),
+        lambda: DistributionSpec.step([0.5, 1.0], [0.5, math.nan]),
+        lambda: DistributionSpec.piecewise_linear([0.5, 1.0], [0.2, math.nan], normalized=False),
+        lambda: DistributionSpec.from_jumps([math.nan, 0.5]),
+    ], ids=["first-value", "last-value", "unnormalized", "jump"])
+    def test_rejects_nan_values(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
     def test_unnormalized_flag_permits_partial_mass(self):
         spec = DistributionSpec.step([0.5, 1.0], [0.2, 0.8], normalized=False)
         assert spec.total == pytest.approx(0.8)
@@ -179,6 +189,12 @@ class TestParamagneticPressure:
         with pytest.raises(DomainError):
             paramagnetic_pressure(FieldSpec.constant(1.0), -0.5)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        for field in (FieldSpec.constant(1.0), FieldSpec.gaussian(0.5, 1.0)):
+            with pytest.raises(DomainError):
+                paramagnetic_pressure(field, beta)
+
 
 class TestFieldSpecValidation:
     def test_discrete_probabilities_must_sum_to_one(self):
@@ -192,6 +208,19 @@ class TestFieldSpecValidation:
     def test_empty_empirical_rejected(self):
         with pytest.raises(ValidationError):
             FieldSpec.empirical([])
+
+    @pytest.mark.parametrize("make", [
+        lambda v: FieldSpec.constant(v),
+        lambda v: FieldSpec.gaussian(v, 1.0),
+        lambda v: FieldSpec.gaussian(0.0, v),
+        lambda v: FieldSpec.discrete([(v, 1.0)]),
+        lambda v: FieldSpec.discrete([(1.0, 0.5), (2.0, v)]),
+        lambda v: FieldSpec.empirical([0.5, v]),
+    ], ids=["gamma", "mean", "stddev", "atom-value", "atom-probability", "sample"])
+    def test_non_finite_parameters_rejected(self, make):
+        for v in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                make(v)
 
 
 class TestSampleWeights:

@@ -28,6 +28,7 @@ from conftest import random_field, random_spec
 from oracles import (
     GREM_QUANTUM_B12_G1,
     REM_GAMMA_C_B1,
+    kink_cut_pressure,
     mp_gamma_c,
     mp_qgrem,
 )
@@ -139,6 +140,15 @@ class TestCriticalFields:
                 got = qgrem_critical_fields(hull, beta)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_flat_segment_flips_at_exactly_zero(self):
+        # a flat segment's phi_l / L_l can miss ln 2 by an ulp; arcosh turns
+        # that into a critical field of about 3e-8 instead of 0
+        for y in np.linspace(0.05, 0.95, 91):
+            hull = concave_hull(DistributionSpec.step([y, 1.0], [1.0, 1.0]))
+            for beta in (0.5, 1.2, 3.0):
+                want = [float(v) for v in mp_gamma_c(hull.increments, hull.lengths, beta)]
+                assert qgrem_critical_fields(hull, beta) == pytest.approx(want, abs=1e-11)
+
     def test_indicator_form_equals_maximum(self, rng):
         # cross-check of the two formulations of the constant-field pressure
         for _ in range(200):
@@ -174,6 +184,16 @@ class TestQcremPressure:
             val = qcrem_pressure(hull, beta, field).value
             assert val >= classical_pressure(hull, beta) - 1e-12
             assert val >= paramagnetic_pressure(field, beta) - 1e-12
+
+    def test_matches_kink_loop_oracle(self, rng):
+        for _ in range(300):
+            hull = concave_hull(random_spec(rng))
+            beta = float(rng.uniform(0.0, 3.0))
+            field = random_field(rng)
+            want, want_z = kink_cut_pressure(hull, beta, paramagnetic_pressure(field, beta))
+            res = qcrem_pressure(hull, beta, field)
+            assert res.value == pytest.approx(want, abs=1e-12)
+            assert res.argmax == want_z
 
     def test_argmax_is_cut_point(self):
         res = qcrem_pressure(GREM, 1.2, FieldSpec.constant(1.0))
@@ -303,3 +323,32 @@ class TestTransitionScan:
             assert [t.order for t in scan] == [TransitionOrder.FIRST] * hull.m
             want = sorted(qgrem_critical_fields(hull, beta))
             assert [t.gamma for t in scan] == pytest.approx(want, abs=1e-4)
+
+    def test_lines_are_the_exact_critical_fields(self, rng):
+        for _ in range(40):
+            hull = concave_hull(random_spec(rng))
+            for beta in (0.3, 1.2, 5.0, 1e3):
+                scan = transition_scan(hull, beta)
+                gcs = qgrem_critical_fields(hull, beta)[::-1]  # increasing gamma
+                assert len(scan) == hull.m
+                for tr, gc, L in zip(scan, gcs, hull.lengths[::-1]):
+                    assert tr.gamma == pytest.approx(gc, abs=1e-12)
+                    assert tr.jump == pytest.approx(L * math.tanh(beta * gc), abs=1e-12)
+
+    def test_flat_tail_has_one_line(self):
+        hull = concave_hull(DistributionSpec.step([0.08, 1.0], [1.0, 1.0]))
+        for beta in (0.3, 0.5, 1.2, 5.0, 1e3):
+            (tr,) = transition_scan(hull, beta)
+            assert tr.gamma == pytest.approx(qgrem_critical_fields(hull, beta)[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: qgrem_critical_fields(GREM, v),
+    lambda v: magnetization(GREM, v, 1.0),
+    lambda v: magnetization(GREM, 1.2, v),
+    lambda v: qcrem_closed_form(GREM, 1.2, v),
+], ids=["critical-fields-beta", "magnetization-beta", "magnetization-gamma", "closed-form-gamma"])
+def test_non_finite_argument_rejected(call, value):
+    with pytest.raises(DomainError):
+        call(value)
