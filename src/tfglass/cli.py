@@ -3,7 +3,7 @@
 Subcommands
     pressure        classical and quantum pressures on a (beta, gamma) grid
     phase-diagram   pressure/magnetization grid plus detected transition lines
-    nonhier         exhaustive and greedy non-hierarchical pressures
+    nonhier         non-hierarchical pressures from the greedy single chain
     verify          sampled finite-N pressures against the limit formulas
 
 Every CSV starts with a `# manifest:` comment carrying the SHA-256 of the
@@ -34,10 +34,9 @@ from .model import (
 from .nonhier import (
     NonHierModel,
     chain_grem,
-    classical_nonhier_pressure,
     greedy_chain,
     indices_of,
-    quantum_nonhier_pressure,
+    terminal_set,
 )
 from .quantum import (
     BlockPhase,
@@ -265,16 +264,17 @@ def cmd_nonhier(args) -> int:
     config = {"cmd": "nonhier", "model": args.model, "beta": args.beta,
               "gamma": args.gamma, "field": args.field}
     greedy = greedy_chain(model)
-    greedy_hull = chain_grem(model, greedy).hull()
+    red = chain_grem(model, greedy)
+    greedy_hull = red.hull()
+    order = "|".join(str(i) for i in greedy.order)
     rows = []
     for beta in betas:
-        classical, _ = classical_nonhier_pressure(model, beta)
+        classical = classical_pressure(greedy_hull, beta)
         for label, field in fields:
-            quantum, d_mask = quantum_nonhier_pressure(model, beta, field)
-            greedy_q = qgrem_pressure(greedy_hull, beta, field)
+            res = qgrem_pressure(greedy_hull, beta, field)
+            d_mask = terminal_set(greedy, red, greedy_hull, res.argmax)
             d_str = "|".join(str(i) for i in indices_of(d_mask)) or "-"
-            rows.append((beta, label, classical, quantum, d_str, greedy_q.value,
-                         "|".join(str(i) for i in greedy.order)))
+            rows.append((beta, label, classical, res.value, d_str, res.value, order))
     _write_csv(args.out, ("beta", "gamma_or_law", "classical", "quantum", "argmax_D",
                           "greedy_quantum", "greedy_order"), rows, _manifest(config))
     return EXIT_OK
@@ -372,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cluster-gap", type=float, default=None, dest="cluster_gap")
     p.set_defaults(func=cmd_phase_diagram)
 
-    p = sub.add_parser("nonhier", help="non-hierarchical pressures (exhaustive + greedy)")
+    p = sub.add_parser("nonhier", help="non-hierarchical pressures (greedy single chain)")
     common(p)
     p.add_argument("--gamma", help="constant-field grid start:stop:count")
     p.add_argument("--field", help="field law (see pressure)")

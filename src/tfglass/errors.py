@@ -14,4 +14,4 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Requested size exceeds what an exact/enumerative path can handle."""
+    """Requested size exceeds the size gate of the path that would compute it."""

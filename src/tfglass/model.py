@@ -136,6 +136,8 @@ class ConcaveHull:
         m = len(self.support)
         if m == 0 or not (len(self.increments) == len(self.lengths) == len(self.slopes) == m):
             raise ValidationError("hull fields must be non-empty and of equal length")
+        if not all(map(math.isfinite, self.support + self.increments + self.lengths + self.slopes)):
+            raise ValidationError("hull fields must be finite")
         if any(l <= 0 for l in self.lengths):
             raise ValidationError("segment lengths must be positive")
         if any(a < 0 for a in self.increments):

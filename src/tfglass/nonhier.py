@@ -11,15 +11,16 @@ D, plus the paramagnetic share of the blocks outside D.
 
 A single chain suffices: greedily absorbing the superset with the largest
 marginal slope produces a chain whose hull dominates every other chain's
-hull pointwise, hence minimizes the pressure at every temperature.
+hull pointwise, so the min over chains and the max-min are both read off
+that one hull (classical pressure, cut formula); no chain is enumerated.
 
 Subsets are bitmasks over blocks 0..n-1 (bit k = block k+1 of the 1-based
-file format).  Exhaustive enumeration is gated at n <= 10.
+file format).  `greedy_chain` is gated at n <= 20, like `sample_instance`'s N.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -27,10 +28,10 @@ import numpy as np
 
 from .classical import classical_pressure
 from .errors import CapacityError, ValidationError
-from .model import ConcaveHull, DistributionSpec, FieldSpec, ProfileKind, hull_from_points, paramagnetic_pressure
+from .model import ConcaveHull, DistributionSpec, FieldSpec, ProfileKind, hull_from_points
 from .quantum import qgrem_pressure
 
-ENUM_MAX_BLOCKS = 10
+GREEDY_MAX_BLOCKS = 20
 
 _SUM_TOL = 1e-12
 
@@ -68,8 +69,8 @@ class NonHierModel:
             raise ValidationError("need at least one block")
         if len(self.block_lengths) != self.n:
             raise ValidationError("block_lengths must have one entry per block")
-        if any(l <= 0 for l in self.block_lengths):
-            raise ValidationError("block lengths must be positive")
+        if not all(0.0 < l < math.inf for l in self.block_lengths):
+            raise ValidationError("block lengths must be positive and finite")
         if abs(sum(self.block_lengths) - 1.0) > _SUM_TOL:
             raise ValidationError("block lengths must sum to 1")
         full = (1 << self.n) - 1
@@ -77,8 +78,8 @@ class NonHierModel:
         for mask, a in dict(self.weights).items():
             if not 0 < mask <= full:
                 raise ValidationError(f"subset mask {mask} outside 1..{full}")
-            if a < 0:
-                raise ValidationError("subset weights must be >= 0")
+            if not 0.0 <= a < math.inf:
+                raise ValidationError("subset weights must be finite and >= 0")
             if a > 0:
                 clean[int(mask)] = float(a)
         if abs(sum(clean.values()) - 1.0) > _SUM_TOL:
@@ -124,16 +125,13 @@ class NonHierModel:
 
     def cumulative_weights(self) -> np.ndarray:
         """atilde[S] = sum of a_I over I subset of S, for every mask S."""
-        size = 1 << self.n
-        acc = np.zeros(size)
+        acc = np.zeros(1 << self.n)
         for mask, a in self.weights.items():
             acc[mask] = a
-        # subset-sum (zeta) transform over the n bit dimensions
-        for k in range(self.n):
-            bit = 1 << k
-            for mask in range(size):
-                if mask & bit:
-                    acc[mask] += acc[mask ^ bit]
+        # zeta transform: prefix sums along each bit axis, bit 0 (last axis) first
+        cube = acc.reshape((2,) * self.n)
+        for axis in reversed(range(self.n)):
+            np.cumsum(cube, axis=axis, out=cube)
         return acc
 
 
@@ -228,30 +226,6 @@ def chain_grem(model: NonHierModel, chain: Chain) -> ReducedGrem:
     return ReducedGrem(tuple(weights), tuple(endpoints))
 
 
-def _full_chains(model: NonHierModel):
-    for perm in itertools.permutations(range(1, model.n + 1)):
-        yield Chain.from_order(perm)
-
-
-def _check_enumerable(model: NonHierModel):
-    if model.n > ENUM_MAX_BLOCKS:
-        raise CapacityError(
-            f"exhaustive enumeration gated at n <= {ENUM_MAX_BLOCKS} "
-            f"(got n = {model.n}); use greedy_chain for larger models"
-        )
-
-
-def classical_nonhier_pressure(model: NonHierModel, beta: float) -> tuple[float, Chain]:
-    """Minimum over all full chains of the induced hierarchical pressure."""
-    _check_enumerable(model)
-    best_val, best_chain = None, None
-    for chain in _full_chains(model):
-        val = classical_pressure(chain_grem(model, chain).hull(), beta)
-        if best_val is None or val < best_val:
-            best_val, best_chain = val, chain
-    return best_val, best_chain
-
-
 def greedy_chain(model: NonHierModel) -> Chain:
     """Chain built by repeatedly absorbing the superset of maximal marginal slope.
 
@@ -268,6 +242,8 @@ def greedy_chain(model: NonHierModel) -> Chain:
     envelope pointwise: a total-slope rule can absorb supersets that add
     length but no weight and lose both dominance and pressure minimality.
     """
+    if model.n > GREEDY_MAX_BLOCKS:
+        raise CapacityError(f"greedy chain gated at n <= {GREEDY_MAX_BLOCKS} (got n = {model.n})")
     atilde = model.cumulative_weights()
     lengths = np.array([model.subset_length(m) for m in range(1 << model.n)])
     current = 0
@@ -294,38 +270,33 @@ def greedy_chain(model: NonHierModel) -> Chain:
     return Chain.from_order(order)
 
 
-def quantum_nonhier_pressure(
-    model: NonHierModel, beta: float, field: FieldSpec
-) -> tuple[float, int]:
+def classical_nonhier_pressure(model: NonHierModel, beta: float) -> tuple[float, Chain]:
+    """Minimum over full chains of the induced pressure: the greedy chain's value, and the chain."""
+    chain = greedy_chain(model)
+    return classical_pressure(chain_grem(model, chain).hull(), beta), chain
+
+
+def terminal_set(chain: Chain, red: ReducedGrem, hull: ConcaveHull, k: int) -> int:
+    """Chain set covering the k-th kink of hull = red.hull() (0 for k = 0); an
+    exact match, as the hull copies its kinks from the reduction's endpoints."""
+    return chain.sets[red.endpoints.index(hull.support[k - 1])] if k else 0
+
+
+def quantum_nonhier_pressure(model: NonHierModel, beta: float, field: FieldSpec) -> tuple[float, int]:
     """Max over terminal sets D of the min over chains ending at D.
 
-    Each candidate value is the reduced hierarchical pressure on the blocks of
-    D plus the paramagnetic pressure carried by the remaining block lengths.
-    Returns the value and the maximizing D as a bitmask (smallest mask on
-    ties).
+    Each candidate is the reduced pressure on the blocks of D plus the
+    paramagnetic pressure of the remaining length.  The greedy chain's cut
+    formula attains the maximum; D (a bitmask) is its chain set covering the
+    winning cut point, 0 when every block is paramagnetic.
     """
-    _check_enumerable(model)
-    p = paramagnetic_pressure(field, beta)
-    best_val, best_mask = None, 0
-    for d_mask in range(1 << model.n):
-        rest_len = 1.0 - model.subset_length(d_mask)
-        if d_mask == 0:
-            val = p
-        else:
-            members = indices_of(d_mask)
-            inner = None
-            for perm in itertools.permutations(members):
-                chain = Chain.from_order(perm)
-                red = classical_pressure(chain_grem(model, chain).hull(), beta)
-                if inner is None or red < inner:
-                    inner = red
-            val = inner + rest_len * p
-        if best_val is None or val > best_val:
-            best_val, best_mask = val, d_mask
-    return best_val, best_mask
+    chain = greedy_chain(model)
+    red = chain_grem(model, chain)
+    hull = red.hull()
+    res = qgrem_pressure(hull, beta, field)
+    return res.value, terminal_set(chain, red, hull, res.argmax)
 
 
 def greedy_quantum_pressure(model: NonHierModel, beta: float, field: FieldSpec):
     """Quantum pressure of the hierarchical model the greedy chain induces."""
-    hull = chain_grem(model, greedy_chain(model)).hull()
-    return qgrem_pressure(hull, beta, field)
+    return qgrem_pressure(chain_grem(model, greedy_chain(model)).hull(), beta, field)

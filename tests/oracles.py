@@ -4,12 +4,14 @@ Everything here deliberately avoids the package's own code paths: the hull
 oracle enumerates chains over point subsets instead of scanning, the
 pressure oracles recompute the closed forms in mpmath arbitrary precision,
 the cut-point oracle maximizes the truncated pressure over the kinks instead
-of summing partial pressures, and the trace oracle runs the Chebyshev
-recurrence forward over every degree.
+of summing partial pressures, the trace oracle runs the Chebyshev
+recurrence forward over every degree, and the non-hierarchical oracles
+search every chain instead of building the greedy one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath as mp
@@ -17,7 +19,8 @@ import numpy as np
 import scipy.sparse
 from scipy.special import ive
 
-from tfglass import crem_truncated_pressure
+from tfglass import Chain, chain_grem, classical_pressure, crem_truncated_pressure
+from tfglass.nonhier import indices_of
 
 mp.mp.dps = 40
 
@@ -120,6 +123,47 @@ def kink_cut_pressure(hull, beta, p):
         if val > best:
             best, best_z = val, y
     return best, best_z
+
+
+def _chain_pressure(model, order, beta):
+    return classical_pressure(chain_grem(model, Chain.from_order(order)).hull(), beta)
+
+
+def minchain_classical_pressure(model, beta):
+    """Minimum over all n! full chains of the induced classical pressure."""
+    return min(_chain_pressure(model, perm, beta)
+               for perm in itertools.permutations(range(1, model.n + 1)))
+
+
+def chain_min_pressures(model, beta):
+    """{D: min over the |D|! chains ending at D of the reduced classical pressure}.
+
+    One entry per terminal set D, including 0 (the empty chain) with value 0.
+    """
+    out = {0: 0.0}
+    for d_mask in range(1, 1 << model.n):
+        out[d_mask] = min(_chain_pressure(model, perm, beta)
+                          for perm in itertools.permutations(indices_of(d_mask)))
+    return out
+
+
+def maxmin_candidates(model, inner, p):
+    """Max-min candidate of each D: inner[D] plus p times the length outside D."""
+    return {d: v + (1.0 - model.subset_length(d)) * p for d, v in inner.items()}
+
+
+def loop_cumulative_weights(model):
+    """atilde[S] = sum of a_I over I subset of S: the zeta transform bit by bit, mask by mask."""
+    size = 1 << model.n
+    acc = np.zeros(size)
+    for mask, a in model.weights.items():
+        acc[mask] = a
+    for k in range(model.n):
+        bit = 1 << k
+        for mask in range(size):
+            if mask & bit:
+                acc[mask] += acc[mask ^ bit]
+    return acc
 
 
 def mp_gaussian_paramagnetic(mean, stddev, beta):

@@ -23,7 +23,7 @@ def models(tmp_path):
     paths["nh2"].write_text(json.dumps(
         {"n": 2, "L": [0.5, 0.5], "weights": {"1": 0.2, "2": 0.3, "1,2": 0.5}}
     ))
-    n = 11
+    n = 21
     paths["nh_big"] = tmp_path / "nh_big.json"
     paths["nh_big"].write_text(json.dumps(
         {"n": n, "L": [1.0 / n] * n, "weights": {",".join(str(i) for i in range(1, n + 1)): 1.0}}
@@ -114,6 +114,14 @@ class TestErrors:
                      "--gamma", "1.0", "--out", "-"]) == 2
         assert main(["nonhier", "--model", str(models["rem"]), "--beta", "1.0",
                      "--gamma", "1.0", "--out", "-"]) == 2
+
+    def test_non_finite_nonhier_model_is_validation_error(self, tmp_path):
+        path = tmp_path / "nh_nan.json"
+        path.write_text(json.dumps({"n": 2, "L": [0.5, 0.5],
+                                    "weights": {"1": math.nan, "2": 0.5, "1,2": 0.5}}))
+        assert "NaN" in path.read_text()
+        rc = main(["nonhier", "--model", str(path), "--beta", "1.2", "--gamma", "1.0", "--out", "-"])
+        assert rc == 2
 
     def test_capacity_exit_code(self, models):
         rc = main(["nonhier", "--model", str(models["nh_big"]), "--beta", "1.0",

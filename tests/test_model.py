@@ -109,6 +109,14 @@ class TestConcaveHull:
         with pytest.raises(ValidationError):
             ConcaveHull((0.5, 1.0), (0.2, 0.8), (0.5, 0.5), (0.4, 1.6))  # increasing slopes
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_non_finite_field_rejected(self, field, bad):
+        fields = [(1.0,), (0.5,), (1.0,), (0.5,)]
+        fields[field] = (bad,)
+        with pytest.raises(ValidationError):
+            ConcaveHull(*fields)
+
     @given(step_specs())
     def test_envelope_properties(self, spec):
         hull = concave_hull(spec)

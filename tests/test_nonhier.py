@@ -19,11 +19,13 @@ from tfglass import (
     concave_hull,
     greedy_chain,
     greedy_quantum_pressure,
+    paramagnetic_pressure,
     quantum_nonhier_pressure,
 )
 from tfglass.nonhier import indices_of, mask_of
 
-from conftest import random_nonhier
+from conftest import random_field, random_nonhier
+from oracles import chain_min_pressures, loop_cumulative_weights, maxmin_candidates, minchain_classical_pressure
 
 LN2 = math.log(2.0)
 
@@ -53,6 +55,14 @@ class TestModelAndChainValidation:
         chain = Chain.from_order([2, 1, 3])
         assert chain.order == (2, 1, 3)
         assert chain.terminal == mask_of([1, 2, 3])
+
+    @pytest.mark.parametrize("lengths, weights", [
+        ((0.5, 0.5), {1: math.nan, 2: 0.5, 3: 0.5}),
+        ((math.nan, 0.5), {1: 0.2, 2: 0.3, 3: 0.5}),
+    ], ids=["nan-weight", "nan-length"])
+    def test_non_finite_rejected(self, lengths, weights):
+        with pytest.raises(ValidationError):
+            NonHierModel(2, lengths, weights)
 
     def test_json_format(self):
         model = NonHierModel.from_json_dict(
@@ -126,12 +136,23 @@ class TestClassicalNonHier:
         assert max(vals) - min(vals) < 1e-12
 
     def test_capacity_gate(self):
-        n = 11
+        n = 21
         model = NonHierModel(n, tuple([1.0 / n] * n), {(1 << n) - 1: 1.0})
         with pytest.raises(CapacityError):
             classical_nonhier_pressure(model, 1.0)
         with pytest.raises(CapacityError):
             quantum_nonhier_pressure(model, 1.0, FieldSpec.constant(1.0))
+
+
+class TestCumulativeWeights:
+    def test_bitwise_equal_to_loop(self, rng):
+        for n in range(1, 13):
+            sparse = random_nonhier(rng, n=n)
+            raw = rng.dirichlet(np.ones((1 << n) - 1))
+            dense = NonHierModel(n, tuple([1.0 / n] * n),
+                                 {m: float(w) for m, w in enumerate(raw / raw.sum(), start=1)})
+            for model in (sparse, dense):
+                assert np.array_equal(model.cumulative_weights(), loop_cumulative_weights(model))
 
 
 class TestGreedyChain:
@@ -222,6 +243,24 @@ class TestQuantumNonHier:
                     want, _ = quantum_nonhier_pressure(model, beta, field)
                     got = greedy_quantum_pressure(model, beta, field).value
                     assert got == pytest.approx(want, abs=1e-10)
+
+    def test_matches_exhaustive_search(self, rng):
+        # every chain (classical) and every terminal set with every chain
+        # ending there (quantum), searched independently of the greedy chain
+        for n in range(1, 7):
+            for _ in range(6):
+                model = random_nonhier(rng, n=n)
+                fields = [FieldSpec.constant(0.0), FieldSpec.constant(float(rng.uniform(0.0, 2.5))),
+                          random_field(rng), random_field(rng)]
+                for beta in (0.0, 0.3, 1.2, 5.0):
+                    cval, _ = classical_nonhier_pressure(model, beta)
+                    assert cval == pytest.approx(minchain_classical_pressure(model, beta), abs=1e-12)
+                    inner = chain_min_pressures(model, beta)
+                    for field in fields:
+                        cand = maxmin_candidates(model, inner, paramagnetic_pressure(field, beta))
+                        qval, d_mask = quantum_nonhier_pressure(model, beta, field)
+                        assert qval == pytest.approx(max(cand.values()), abs=1e-12)
+                        assert cand[d_mask] == pytest.approx(qval, abs=1e-12)
 
     def test_indices_helpers(self):
         assert indices_of(mask_of([3, 1])) == (1, 3)
