@@ -84,11 +84,21 @@ def _write_csv(out: str, header, rows, manifest: str):
         Path(out).write_text(text)
 
 
-def _manifest(config: dict) -> str:
+def _manifest(args) -> str:
+    """Manifest line of the resolved options; output paths and worker counts
+    do not change the numbers, so they stay out of the digest."""
+    config = {k: v for k, v in vars(args).items() if k not in {"func", "out", "transitions_out", "workers"}}
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()
     seed = config.get("seed", "-")
     return f"# manifest: config={digest} seed={seed}"
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and Unicode decoding
+        raise ValidationError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def load_model(path: str):
@@ -98,12 +108,7 @@ def load_model(path: str):
                    "A": [...] or "jumps": [...], "normalized": bool}.
     Non-hierarchical: {"n": ..., "L": [...], "weights": {"1,3": ...}}.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValidationError(f"cannot read model file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"model file is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "model")
     if not isinstance(doc, dict):
         raise ValidationError("model document must be a JSON object")
     if "weights" in doc:
@@ -126,33 +131,37 @@ def load_model(path: str):
 
 
 def parse_field(text: str) -> FieldSpec:
-    kind, sep, rest = text.partition(":")
-    if kind == "constant":
-        if not sep:
-            raise UsageError("constant field needs a strength, e.g. constant:1.0")
-        return FieldSpec.constant(float(rest))
-    if kind == "gaussian":
+    kind, _, rest = text.partition(":")
+    if kind in ("constant", "gaussian"):
         try:
-            mean, stddev = (float(tok) for tok in rest.split(","))
-        except ValueError as exc:
-            raise UsageError("gaussian field needs mean,stddev") from exc
-        return FieldSpec.gaussian(mean, stddev)
-    if kind == "discrete":
-        doc = json.loads(Path(rest).read_text())
-        return FieldSpec.discrete([(float(v), float(p)) for v, p in doc])
-    if kind == "empirical":
-        doc = json.loads(Path(rest).read_text())
-        return FieldSpec.empirical([float(v) for v in doc])
-    raise UsageError(f"unknown field law {kind!r}")
+            params = [float(tok) for tok in rest.split(",")]
+        except ValueError:
+            params = []
+        if len(params) != (1 if kind == "constant" else 2):
+            raise UsageError(f"bad field law {text!r}: want constant:G or gaussian:MEAN,STDDEV")
+        return FieldSpec.constant(*params) if kind == "constant" else FieldSpec.gaussian(*params)
+    if kind not in ("discrete", "empirical"):
+        raise UsageError(f"unknown field law {kind!r}")
+    doc = _read_json(rest, "field")
+    if not isinstance(doc, list):
+        raise ValidationError(f"{kind} field file {rest!r} must hold a JSON list")
+    try:
+        values = [(float(v), float(p)) for v, p in doc] if kind == "discrete" else [float(v) for v in doc]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {kind} field file {rest!r}: {exc}") from exc
+    return FieldSpec.discrete(values) if kind == "discrete" else FieldSpec.empirical(values)
 
 
 def parse_grid(text: str) -> list[float]:
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise UsageError(f"grid must be start:stop:count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        if len(parts) == 1:
+            return [float(parts[0])]
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise UsageError(f"grid must be numbers start:stop:count, got {text!r}") from exc
     if count < 1:
         raise UsageError("grid count must be >= 1")
     if start > stop:
@@ -194,8 +203,6 @@ def cmd_pressure(args) -> int:
     hull = concave_hull(model)
     betas = parse_grid(args.beta)
     fields = _fields_for(args)
-    config = {"cmd": "pressure", "model": args.model, "beta": args.beta,
-              "gamma": args.gamma, "field": args.field}
     rows = []
     for beta in betas:
         for label, field in fields:
@@ -203,7 +210,7 @@ def cmd_pressure(args) -> int:
             rows.append((beta, label, classical_pressure(hull, beta), res.value,
                          res.argmax, _phase_string(res.block_phases)))
     _write_csv(args.out, ("beta", "gamma_or_law", "classical", "quantum", "argmax", "block_phases"),
-               rows, _manifest(config))
+               rows, _manifest(args))
     return EXIT_OK
 
 
@@ -212,9 +219,6 @@ def cmd_phase_diagram(args) -> int:
     hull = concave_hull(model)
     betas = parse_grid(args.beta)
     gammas = parse_grid(args.gamma)
-    config = {"cmd": "phase-diagram", "model": args.model, "beta": args.beta,
-              "gamma": args.gamma, "jump_tol": args.jump_tol,
-              "slope_tol": args.slope_tol, "cluster_gap": args.cluster_gap}
     grid_rows = []
     for beta in betas:
         for gamma in gammas:
@@ -222,7 +226,7 @@ def cmd_phase_diagram(args) -> int:
             res = qgrem_pressure(hull, beta, field)
             m_z = magnetization(hull, beta, gamma) if beta > 0 else 0.0
             grid_rows.append((beta, gamma, res.value, m_z))
-    manifest = _manifest(config)
+    manifest = _manifest(args)
     _write_csv(args.out, ("beta", "gamma", "pressure", "m_z"), grid_rows, manifest)
 
     tr_rows = []
@@ -261,8 +265,6 @@ def cmd_nonhier(args) -> int:
         raise ValidationError("this subcommand needs a non-hierarchical model file")
     betas = parse_grid(args.beta)
     fields = _fields_for(args)
-    config = {"cmd": "nonhier", "model": args.model, "beta": args.beta,
-              "gamma": args.gamma, "field": args.field}
     greedy = greedy_chain(model)
     red = chain_grem(model, greedy)
     greedy_hull = red.hull()
@@ -276,24 +278,17 @@ def cmd_nonhier(args) -> int:
             d_str = "|".join(str(i) for i in indices_of(d_mask)) or "-"
             rows.append((beta, label, classical, res.value, d_str, res.value, order))
     _write_csv(args.out, ("beta", "gamma_or_law", "classical", "quantum", "argmax_D",
-                          "greedy_quantum", "greedy_order"), rows, _manifest(config))
+                          "greedy_quantum", "greedy_order"), rows, _manifest(args))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     model = load_model(args.model)
-    if args.field is None:
-        raise UsageError("verify needs --field")
     field = parse_field(args.field)
     betas = parse_grid(args.beta)
     Ns = parse_int_list(args.N)
     if not Ns:
         raise UsageError("verify needs a non-empty --N list")
-    config = {"cmd": "verify", "model": args.model, "field": args.field,
-              "beta": args.beta, "N": args.N, "replicas": args.replicas,
-              "seed": args.seed, "tol_limit_gap": args.tol_limit_gap,
-              "freeze_field": args.freeze_field, "method": args.method,
-              "probes": args.probes}
     label = field.label()
 
     rows = []
@@ -338,7 +333,7 @@ def cmd_verify(args) -> int:
             print(f"note: concentration check skipped (replicas {args.replicas} < 200)")
 
     _write_csv(args.out, ("replica", "N", "beta", "gamma_or_law", "phi_N"),
-               rows, _manifest(config))
+               rows, _manifest(args))
     ok = True
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
@@ -351,11 +346,10 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, seed_required=False):
+    def common(p):
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--beta", required=True, help="inverse-temperature grid start:stop:count")
         p.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
-        p.add_argument("--seed", type=int, required=seed_required, default=None)
 
     p = sub.add_parser("pressure", help="pressure table on a grid")
     common(p)
@@ -379,7 +373,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_nonhier)
 
     p = sub.add_parser("verify", help="finite-N sampling against the limit formulas")
-    common(p, seed_required=True)
+    common(p)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--field", required=True, help="field law (see pressure)")
     p.add_argument("--N", required=True, help="comma-separated spin counts, e.g. 6,8,10,12")
     p.add_argument("--replicas", type=int, required=True)

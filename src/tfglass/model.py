@@ -306,12 +306,12 @@ class FieldSpec:
         return f"empirical:n={len(self.samples)}"
 
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=1)
+def _leggauss():
+    return np.polynomial.legendre.leggauss(256)
 
 
-def _gaussian_ln2cosh_mean(mu: float, sigma: float, quad_points: int) -> float:
+def _gaussian_ln2cosh_mean(mu: float, sigma: float) -> float:
     """E[ln 2 cosh(Y)] for Y ~ N(mu, sigma^2).
 
     Split as E|Y| + E[log1p(exp(-2|Y|))]: the first term is closed form, the
@@ -328,7 +328,7 @@ def _gaussian_ln2cosh_mean(mu: float, sigma: float, quad_points: int) -> float:
     upper = min(30.0, abs(mu) + 12.0 * sigma)
     if upper <= lower:
         return mean_abs
-    x, w = _leggauss(quad_points)
+    x, w = _leggauss()
     t = lower + 0.5 * (upper - lower) * (x + 1.0)
     folded = (
         np.exp(-0.5 * ((t - mu) / sigma) ** 2) + np.exp(-0.5 * ((t + mu) / sigma) ** 2)
@@ -337,7 +337,7 @@ def _gaussian_ln2cosh_mean(mu: float, sigma: float, quad_points: int) -> float:
     return mean_abs + remainder
 
 
-def paramagnetic_pressure(field: FieldSpec, beta: float, quad_points: int = 256) -> float:
+def paramagnetic_pressure(field: FieldSpec, beta: float) -> float:
     """E[ln 2 cosh(beta * b)]: the pressure of the free quantum paramagnet."""
     if not 0.0 <= beta < math.inf:
         raise DomainError("beta must be finite and >= 0")
@@ -349,7 +349,7 @@ def paramagnetic_pressure(field: FieldSpec, beta: float, quad_points: int = 256)
         mu, sigma = beta * field.mean, beta * field.stddev
         if sigma == 0.0:
             return float(ln_2cosh(mu))
-        return _gaussian_ln2cosh_mean(mu, sigma, quad_points)
+        return _gaussian_ln2cosh_mean(mu, sigma)
     return float(np.mean(ln_2cosh(beta * np.asarray(field.samples))))
 
 

@@ -15,7 +15,9 @@ hull pointwise, so the min over chains and the max-min are both read off
 that one hull (classical pressure, cut formula); no chain is enumerated.
 
 Subsets are bitmasks over blocks 0..n-1 (bit k = block k+1 of the 1-based
-file format).  `greedy_chain` is gated at n <= 20, like `sample_instance`'s N.
+file format).  `greedy_chain` reads weights and lengths from tables over all
+2^n masks, one vectorised argmax per round; it is gated at n <= 20, like
+`sample_instance`'s N, where it takes under a second.
 """
 
 from __future__ import annotations
@@ -46,14 +48,19 @@ def mask_of(indices) -> int:
 
 def indices_of(mask: int) -> tuple[int, ...]:
     """1-based block indices of a bitmask, ascending."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(k + 1 for k in range(int(mask).bit_length()) if mask >> k & 1)
+
+
+def subset_sums(values) -> np.ndarray:
+    """table[S] = sum of values[k] over the bits k of S, for every mask S.
+
+    Doubling adds the blocks in ascending order, as `subset_length` does, so
+    the block-length table is bitwise equal to it.
+    """
+    table = np.zeros(1)
+    for v in values:
+        table = np.concatenate([table, table + v])
+    return table
 
 
 @dataclass(frozen=True)
@@ -233,8 +240,13 @@ def greedy_chain(model: NonHierModel) -> Chain:
     current set C maximizing the incremental slope
     (weight inside S - weight inside C) / (length of S - length of C);
     slope ties prefer the larger set, then the lexicographically smallest
-    index tuple.  The support sets are then completed to unit steps by adding
-    the new blocks of each round in ascending order.
+    index tuple.  The new blocks of each round join the chain in ascending
+    order, completing the support sets to unit steps.
+
+    Weight, length, size and tie-break rank of every mask sit in tables, so
+    a round is one slope vector over the strict supersets and one lexsort of
+    its maximizers.  The rank puts block k+1 on bit n-1-k: at equal size the
+    larger rank has the lexicographically smaller index tuple.
 
     Maximizing the marginal slope (rather than the total mean slope of the
     union) is what makes the induced envelope pass through every round's
@@ -242,31 +254,20 @@ def greedy_chain(model: NonHierModel) -> Chain:
     envelope pointwise: a total-slope rule can absorb supersets that add
     length but no weight and lose both dominance and pressure minimality.
     """
-    if model.n > GREEDY_MAX_BLOCKS:
-        raise CapacityError(f"greedy chain gated at n <= {GREEDY_MAX_BLOCKS} (got n = {model.n})")
-    atilde = model.cumulative_weights()
-    lengths = np.array([model.subset_length(m) for m in range(1 << model.n)])
-    current = 0
-    rounds = []
+    n = model.n
+    if n > GREEDY_MAX_BLOCKS:
+        raise CapacityError(f"greedy chain gated at n <= {GREEDY_MAX_BLOCKS} (got n = {n})")
+    atilde, lengths = model.cumulative_weights(), subset_sums(model.block_lengths)
+    size, rank = subset_sums([1] * n), subset_sums([1 << (n - 1 - k) for k in range(n)])
+    masks = np.arange(1 << n)
+    current, order = 0, []
     while current != model.full_mask:
-        rest = model.full_mask & ~current
-        best = None
-        # strict supersets of current: union with every nonempty subset of the rest
-        sub = rest
-        while sub:
-            cand = current | sub
-            slope = (atilde[cand] - atilde[current]) / (lengths[cand] - lengths[current])
-            key = (slope, bin(cand).count("1"), tuple(-i for i in indices_of(cand)))
-            if best is None or key > best[0]:
-                best = (key, cand)
-            sub = (sub - 1) & rest
-        current = best[1]
-        rounds.append(current)
-    order = []
-    prev = 0
-    for mask in rounds:
-        order.extend(indices_of(mask & ~prev))
-        prev = mask
+        cand = masks[(masks & current) == current][1:]  # strict supersets; [0] is current
+        slope = (atilde[cand] - atilde[current]) / (lengths[cand] - lengths[current])
+        top = cand[slope == slope.max()]
+        best = int(top[np.lexsort((rank[top], size[top]))[-1]])
+        order.extend(indices_of(best & ~current))
+        current = best
     return Chain.from_order(order)
 
 

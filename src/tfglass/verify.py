@@ -45,6 +45,7 @@ from .quantum import qgrem_pressure
 EXACT_MAX_N = 14
 STOCH_MAX_N = 20
 TILE_COLS = 32  # probe columns per Chebyshev tile: 1 MB per vector block at N = 12
+CONCENTRATION_T_VALUES = (1.0, 2.0, 3.0)  # deviations t*beta/sqrt(N) tested against 2 exp(-t^2/4)
 
 
 @dataclass(frozen=True)
@@ -424,7 +425,6 @@ def concentration_check(
     method: str = "auto",
     probes: int = 128,
     workers: int | None = None,
-    t_values=(1.0, 2.0, 3.0),
 ) -> ConcentrationReport:
     """Empirical tail test of the Gaussian concentration bound 2 exp(-t^2/4).
 
@@ -445,7 +445,7 @@ def concentration_check(
     mean = float(phis.mean())
     devs = np.abs(phis - mean)
     thresholds, fractions, bounds, slacks, passed = [], [], [], [], []
-    for t in t_values:
+    for t in CONCENTRATION_T_VALUES:
         thr = t * beta / math.sqrt(N)
         # 1e-12 floor: a deterministic pressure (beta = 0) must not register
         # exceedances through ulp noise of the mean
@@ -459,7 +459,7 @@ def concentration_check(
         passed.append(frac <= bound + slack)
     return ConcentrationReport(
         N, beta, replicas, mean, float(phis.std(ddof=1)),
-        tuple(float(t) for t in t_values), tuple(thresholds), tuple(fractions),
+        CONCENTRATION_T_VALUES, tuple(thresholds), tuple(fractions),
         tuple(bounds), tuple(slacks), tuple(passed),
     )
 
@@ -517,6 +517,8 @@ def convergence_study(
     replica; ``freeze_field`` holds the weights fixed (per N) instead.  No
     assertions here: the table reports means, spreads and gaps.
     """
+    if replicas < 2:
+        raise ValidationError("convergence study needs at least 2 replicas for a spread")
     limit = limiting_pressure(spec, field, beta)
     rows, phis_all = [], []
     for N in Ns:

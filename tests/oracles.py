@@ -6,7 +6,8 @@ pressure oracles recompute the closed forms in mpmath arbitrary precision,
 the cut-point oracle maximizes the truncated pressure over the kinks instead
 of summing partial pressures, the trace oracle runs the Chebyshev
 recurrence forward over every degree, and the non-hierarchical oracles
-search every chain instead of building the greedy one.
+search every chain instead of building the greedy one, or build it by a
+scalar scan over supersets instead of table lookups.
 """
 
 from __future__ import annotations
@@ -150,6 +151,28 @@ def chain_min_pressures(model, beta):
 def maxmin_candidates(model, inner, p):
     """Max-min candidate of each D: inner[D] plus p times the length outside D."""
     return {d: v + (1.0 - model.subset_length(d)) * p for d, v in inner.items()}
+
+
+def scan_greedy_chain(model):
+    """The greedy chain by a scalar scan: every strict superset of each round,
+    ranked by the key (slope, set size, negated index tuple)."""
+    atilde = loop_cumulative_weights(model)
+    lengths = [model.subset_length(m) for m in range(1 << model.n)]
+    current, order = 0, []
+    while current != model.full_mask:
+        rest = model.full_mask & ~current
+        best = None
+        sub = rest
+        while sub:
+            cand = current | sub
+            slope = (atilde[cand] - atilde[current]) / (lengths[cand] - lengths[current])
+            key = (slope, bin(cand).count("1"), tuple(-i for i in indices_of(cand)))
+            if best is None or key > best[0]:
+                best = (key, cand)
+            sub = (sub - 1) & rest
+        order.extend(indices_of(best[1] & ~current))
+        current = best[1]
+    return Chain.from_order(order)
 
 
 def loop_cumulative_weights(model):

@@ -208,3 +208,71 @@ class TestVerify:
                    "--beta", "8", "--N", "9", "--replicas", "4", "--seed", "3",
                    "--method", "stochastic", "--probes", "16", "--out", "-"])
         assert rc == 4
+
+
+def last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("extra", [
+        ["--beta", "1.0", "--field", "constant:abc"],
+        ["--beta", "1.0", "--gamma", "0:1:x"],
+        ["--beta", "a:b:3", "--gamma", "1.0"],
+    ], ids=["field-strength", "grid-count", "grid-bounds"])
+    def test_unparseable_option_is_usage_error(self, models, capsys, extra):
+        assert main(["pressure", "--model", str(models["rem"]), "--out", "-", *extra]) == 1
+        assert last_error(capsys)["error"] == "usage"
+
+    @pytest.mark.parametrize("law, content", [
+        ("discrete", None),
+        ("empirical", {"samples": [0.5, 1.0]}),
+        ("empirical", "not json"),
+        ("discrete", [[1.0, 0.5, 2.0]]),
+    ], ids=["missing", "not-a-list", "not-json", "bad-atom"])
+    def test_bad_field_file_is_validation_error(self, models, tmp_path, capsys, law, content):
+        path = tmp_path / "field.json"
+        if content is not None:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        rc = main(["pressure", "--model", str(models["rem"]), "--beta", "1.0",
+                   "--field", f"{law}:{path}", "--out", "-"])
+        assert rc == 2
+        assert last_error(capsys)["error"] == "validation"
+
+    @pytest.mark.parametrize("replicas", ["0", "1"])
+    def test_verify_needs_two_replicas(self, models, capsys, replicas):
+        rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
+                   "--beta", "1.2", "--N", "4", "--replicas", replicas, "--seed", "1", "--out", "-"])
+        assert rc == 2
+        assert last_error(capsys)["error"] == "validation"
+
+    @pytest.mark.parametrize("argv", [
+        ["pressure", "--gamma", "1.0"],
+        ["phase-diagram", "--gamma", "0:2:5"],
+        ["nonhier", "--gamma", "1.0"],
+    ], ids=["pressure", "phase-diagram", "nonhier"])
+    def test_seed_only_on_verify(self, models, capsys, argv):
+        model = models["nh2" if argv[0] == "nonhier" else "rem"]
+        rc = main(argv + ["--model", str(model), "--beta", "1.0", "--seed", "3", "--out", "-"])
+        assert rc == 1
+        assert last_error(capsys)["error"] == "usage"
+
+
+class TestManifest:
+    # digests of the configurations the subcommands wrote before the config
+    # was derived from the parsed options; output path and --workers stay out
+    @pytest.mark.parametrize("argv, line", [
+        (["pressure", "--model", "rem.json", "--beta", "1.2", "--gamma", "1.0"],
+         "# manifest: config=2fc9d7b387b918b37d947b6a017fcbedc8012752f72d4b5fc600cf4b1f8f60e7 seed=-"),
+        (["phase-diagram", "--model", "rem.json", "--beta", "0.8:1.6:3", "--gamma", "0:2:5"],
+         "# manifest: config=c1729f6ec2fde87af1f0e560805d6d507284b08d085a066757e59b612167468e seed=-"),
+        (["nonhier", "--model", "nh2.json", "--beta", "1.2", "--field", "constant:1.0"],
+         "# manifest: config=d8aa286f004c934240ec6014c463302fbc1e209768ff74bbefe281162a6d45c7 seed=-"),
+        (["verify", "--model", "rem.json", "--field", "constant:1.0", "--beta", "1.2", "--N", "4",
+          "--replicas", "4", "--seed", "11", "--tol-limit-gap", "1", "--workers", "1"],
+         "# manifest: config=0feea82734b9440c60369583f5f32b807428439566e3fd1973542429dd17c28b seed=11"),
+    ], ids=["pressure", "phase-diagram", "nonhier", "verify"])
+    def test_digest_pinned(self, models, tmp_path, monkeypatch, argv, line):
+        monkeypatch.chdir(tmp_path)  # the model path is part of the configuration
+        assert main(argv + ["--out", "out.csv"]) == 0
+        assert (tmp_path / "out.csv").read_text().splitlines()[0] == line

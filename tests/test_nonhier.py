@@ -22,10 +22,16 @@ from tfglass import (
     paramagnetic_pressure,
     quantum_nonhier_pressure,
 )
-from tfglass.nonhier import indices_of, mask_of
+from tfglass.nonhier import indices_of, mask_of, subset_sums
 
 from conftest import random_field, random_nonhier
-from oracles import chain_min_pressures, loop_cumulative_weights, maxmin_candidates, minchain_classical_pressure
+from oracles import (
+    chain_min_pressures,
+    loop_cumulative_weights,
+    maxmin_candidates,
+    minchain_classical_pressure,
+    scan_greedy_chain,
+)
 
 LN2 = math.log(2.0)
 
@@ -265,3 +271,38 @@ class TestQuantumNonHier:
     def test_indices_helpers(self):
         assert indices_of(mask_of([3, 1])) == (1, 3)
         assert indices_of(0) == ()
+
+
+def _tie_heavy_models(rng, n):
+    """Equal block lengths with small-integer weights, on random subsets and
+    on the singletons, and a random Dirichlet model, all on n blocks."""
+    full = (1 << n) - 1
+    k = int(rng.integers(1, min(8, full) + 1))
+    masks = [int(m) for m in rng.choice(np.arange(1, full + 1), size=k, replace=False)]
+    ints = rng.integers(1, 4, k).astype(float)
+    yield NonHierModel(n, tuple([1.0 / n] * n), dict(zip(masks, ints / ints.sum())))
+    ints = rng.integers(1, 4, n).astype(float)
+    yield NonHierModel(n, tuple([1.0 / n] * n), {1 << b: float(w) for b, w in enumerate(ints / ints.sum())})
+    yield random_nonhier(rng, n=n)
+
+
+class TestGreedyChainTables:
+    def test_matches_scalar_scan(self, rng):
+        # the union of two maximal-slope sets is maximal too, so only slopes
+        # equal up to rounding (equal lengths, integer weights) leave the
+        # index-tuple tie-break to decide a round
+        for n in range(1, 11):
+            for _ in range(8):
+                for model in _tie_heavy_models(rng, n):
+                    assert greedy_chain(model) == scan_greedy_chain(model)
+        for n in (12, 14):
+            for model in _tie_heavy_models(rng, n):
+                assert greedy_chain(model) == scan_greedy_chain(model)
+
+    def test_length_table_bitwise_equal_to_subset_length(self, rng):
+        for n in range(1, 13):
+            lengths = rng.dirichlet(np.ones(n))
+            lengths /= lengths.sum()
+            model = NonHierModel(n, tuple(float(l) for l in lengths), {(1 << n) - 1: 1.0})
+            want = np.array([model.subset_length(k) for k in range(1 << n)])
+            assert np.array_equal(subset_sums(model.block_lengths), want)

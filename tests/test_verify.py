@@ -283,3 +283,9 @@ class TestConvergenceStudy:
         study = convergence_study(ZERO_SPEC, f, 1.0, [4], replicas=6, seed=9, freeze_field=True)
         # zero potential: Phi_N is a function of the (frozen) weights only
         assert len(set(study.replica_phis[0])) == 1
+
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_needs_two_replicas(self, replicas):
+        # one replica has no spread (ddof=1) and none has no mean
+        with pytest.raises(ValidationError, match="at least 2 replicas"):
+            convergence_study(REM_SPEC, CONST1, 1.2, [4], replicas=replicas, seed=0)
