@@ -208,6 +208,9 @@ def transition_scan(
     model.  The thresholds are arguments because the split between orders is
     a resolution statement, not a property of a piecewise-linear hull.
     """
+    tols = (first_order_jump_tol, second_order_slope_tol, 0.0 if cluster_gap is None else cluster_gap)
+    if not all(map(math.isfinite, tols)):
+        raise ValidationError("transition tolerances and cluster_gap must be finite")
     found, groups = [], []
     crit = zip(qgrem_critical_fields(hull, beta), hull.lengths, hull.slopes)
     for gc, L_l, g_l in reversed(list(crit)):  # increasing gamma

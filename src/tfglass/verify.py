@@ -13,8 +13,11 @@ Gershgorin interval, reporting a probe-variance error bar plus the polynomial
 truncation error; it only needs matrix-vector products and is gated at
 N <= 20.  Convergence and concentration drivers pick the path by dimension.
 
-Replicas use seeds derived from (seed, replica index), so aggregates are
-reproducible regardless of scheduling.
+The exact path solves a stack of replicas per pool task, at most STACK_BYTES
+of matrices (one at N = 10, sixteen at N = 8), in one numpy eigvalsh call,
+which releases the GIL (scipy's holds it), so pool threads run in parallel.
+Replica seeds derive from (seed, replica index) and stacks are cut by N and
+replica count only, so aggregates do not depend on scheduling or workers.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import ive, logsumexp
@@ -44,6 +46,7 @@ from .quantum import qgrem_pressure
 
 EXACT_MAX_N = 14
 STOCH_MAX_N = 20
+STACK_BYTES = 8 << 20  # bytes of dense Hamiltonians per eigensolve call: one N = 10 matrix
 TILE_COLS = 32  # probe columns per Chebyshev tile: 1 MB per vector block at N = 12
 CONCENTRATION_T_VALUES = (1.0, 2.0, 3.0)  # deviations t*beta/sqrt(N) tested against 2 exp(-t^2/4)
 
@@ -159,24 +162,34 @@ def _check_exact(inst: FiniteInstance):
         )
 
 
+def _spectra(insts) -> np.ndarray:
+    """Spectra of equal-size instances, one row each, from one stacked eigvalsh
+    (bitwise equal to per-matrix calls); ``toarray(out=slot)`` zeroes the slot."""
+    _check_exact(insts[0])
+    dim = 1 << insts[0].N
+    stack = np.empty((len(insts), dim, dim))
+    for inst, slot in zip(insts, stack):
+        sparse_hamiltonian(inst).toarray(out=slot)
+    return np.linalg.eigvalsh(stack)
+
+
+def _pressure_from_levels(levels: np.ndarray, beta: float, N: int):
+    """(1/N) ln sum_i exp(-beta levels_i) along the last axis, overflow-safe."""
+    return logsumexp(-beta * levels, axis=-1) / N
+
+
 def exact_spectrum(inst: FiniteInstance) -> np.ndarray:
-    _check_exact(inst)
-    return scipy.linalg.eigvalsh(dense_hamiltonian(inst), overwrite_a=True, check_finite=False)
-
-
-def _pressure_from_levels(levels: np.ndarray, beta: float, N: int) -> float:
-    """(1/N) ln sum_i exp(-beta levels_i), overflow-safe."""
-    return float(logsumexp(-beta * levels)) / N
+    return _spectra([inst])[0]
 
 
 def exact_pressure(inst: FiniteInstance, beta: float) -> float:
     """(1/N) ln Tr exp(-beta H) from the full spectrum."""
-    return _pressure_from_levels(exact_spectrum(inst), beta, inst.N)
+    return float(_pressure_from_levels(_spectra([inst]), beta, inst.N)[0])
 
 
 def diagonal_pressure(inst: FiniteInstance, beta: float) -> float:
     """Field-free lower bound: (1/N) ln sum_sigma exp(-beta U(sigma))."""
-    return _pressure_from_levels(inst.potential, beta, inst.N)
+    return float(_pressure_from_levels(inst.potential, beta, inst.N))
 
 
 def field_only_pressure(inst: FiniteInstance, beta: float) -> float:
@@ -347,7 +360,7 @@ def stochastic_pressure(
 def _exp_diag(inst: FiniteInstance, beta: float, anchor: float | None = None):
     """Diagonal of exp(-beta (H - anchor)) via a full eigendecomposition."""
     _check_exact(inst)
-    w, V = scipy.linalg.eigh(dense_hamiltonian(inst), overwrite_a=True, check_finite=False)
+    w, V = np.linalg.eigh(dense_hamiltonian(inst))
     if anchor is None:
         anchor = float(w.min())
     return (V * V) @ np.exp(-beta * (w - anchor)), anchor
@@ -370,29 +383,37 @@ def sign_invariance_check(inst: FiniteInstance, beta: float, patterns: int = 1, 
     return worst
 
 
-def _phi_one(spec, field, N, beta, seed, frozen_weights, method, probes):
-    inst = sample_instance(spec, field, N, seed)
-    if frozen_weights is not None:
-        inst = replace(inst, field_weights=frozen_weights)
-    use_exact = method == "exact" or (method == "auto" and N <= 10)
-    if use_exact:
-        return exact_pressure(inst, beta)
-    value = stochastic_pressure(inst, beta, probes, seed=seed).value
-    if not math.isfinite(value):
-        # at large beta the alternating Chebyshev sum on the Gershgorin
-        # interval cancels below its own rounding
-        raise CapacityError(
-            f"stochastic trace estimate is not finite at N={N}, beta={beta}, "
-            f"replica seed {seed}; use method='exact' (N <= {EXACT_MAX_N})"
-        )
-    return value
+def _replica_phis(spec, field, N, beta, seeds, frozen_weights, method, probes, workers) -> np.ndarray:
+    """Pressures of the replicas drawn from ``seeds``, one pool task per stack or stochastic replica."""
+    def draw(seed):
+        inst = sample_instance(spec, field, N, seed)
+        return inst if frozen_weights is None else replace(inst, field_weights=frozen_weights)
+
+    def stochastic(seed):
+        value = stochastic_pressure(draw(seed), beta, probes, seed=seed).value
+        if not math.isfinite(value):
+            # at large beta the alternating Chebyshev sum on the Gershgorin
+            # interval cancels below its own rounding
+            raise CapacityError(
+                f"stochastic trace estimate is not finite at N={N}, beta={beta}, "
+                f"replica seed {seed}; use method='exact' (N <= {EXACT_MAX_N})"
+            )
+        return value
+
+    def exact(chunk):  # one stack
+        return _pressure_from_levels(_spectra([draw(seed) for seed in chunk]), beta, N)
+
+    if method == "exact" or (method == "auto" and N <= 10):
+        k = max(1, STACK_BYTES >> (2 * N + 3))  # a matrix holds 4^N 8-byte entries
+        return np.concatenate(_pool_map(exact, [seeds[i:i + k] for i in range(0, len(seeds), k)], workers))
+    return np.array(_pool_map(stochastic, seeds, workers))
 
 
-def _map_replicas(fn, n, workers):
+def _pool_map(fn, items, workers):
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(n)))
-    return [fn(r) for r in range(n)]
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -435,13 +456,10 @@ def concentration_check(
     """
     if replicas < 200:
         raise ValidationError("concentration check needs at least 200 replicas")
-    rng_field = np.random.default_rng([_seed_int(seed), 0])
-    frozen = np.asarray(sample_weights(field, N, rng_field), dtype=float)
-
-    def one(r):
-        return _phi_one(spec, field, N, beta, [_seed_int(seed), r + 1], frozen, method, probes)
-
-    phis = np.array(_map_replicas(one, replicas, workers))
+    seed = _seed_int(seed)
+    frozen = np.asarray(sample_weights(field, N, np.random.default_rng([seed, 0])), dtype=float)
+    seeds = [[seed, r + 1] for r in range(replicas)]
+    phis = _replica_phis(spec, field, N, beta, seeds, frozen, method, probes, workers)
     mean = float(phis.mean())
     devs = np.abs(phis - mean)
     thresholds, fractions, bounds, slacks, passed = [], [], [], [], []
@@ -465,9 +483,9 @@ def concentration_check(
 
 
 def _seed_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
         return int(seed)
-    raise ValidationError("seed must be an integer")
+    raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def limiting_pressure(spec, field: FieldSpec, beta: float) -> float:
@@ -519,19 +537,15 @@ def convergence_study(
     """
     if replicas < 2:
         raise ValidationError("convergence study needs at least 2 replicas for a spread")
+    seed = _seed_int(seed)
     limit = limiting_pressure(spec, field, beta)
     rows, phis_all = [], []
     for N in Ns:
         frozen = None
         if freeze_field:
-            frozen = np.asarray(
-                sample_weights(field, N, np.random.default_rng([_seed_int(seed), N, 0])), dtype=float
-            )
-
-        def one(r, N=N, frozen=frozen):
-            return _phi_one(spec, field, N, beta, [_seed_int(seed), N, r + 1], frozen, method, probes)
-
-        phis = np.array(_map_replicas(one, replicas, workers))
+            frozen = np.asarray(sample_weights(field, N, np.random.default_rng([seed, N, 0])), dtype=float)
+        seeds = [[seed, N, r + 1] for r in range(replicas)]
+        phis = _replica_phis(spec, field, N, beta, seeds, frozen, method, probes, workers)
         mean = float(phis.mean())
         rows.append(ConvergenceRow(N, mean, float(phis.std(ddof=1)), limit, abs(mean - limit)))
         phis_all.append(tuple(float(p) for p in phis))

@@ -5,7 +5,8 @@ oracle enumerates chains over point subsets instead of scanning, the
 pressure oracles recompute the closed forms in mpmath arbitrary precision,
 the cut-point oracle maximizes the truncated pressure over the kinks instead
 of summing partial pressures, the trace oracle runs the Chebyshev
-recurrence forward over every degree, and the non-hierarchical oracles
+recurrence forward over every degree, the dense oracle diagonalizes one
+matrix at a time with scipy, and the non-hierarchical oracles
 search every chain instead of building the greedy one, or build it by a
 scalar scan over supersets instead of table lookups.
 """
@@ -17,6 +18,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 from scipy.special import ive
 
@@ -243,6 +245,20 @@ def forward_stochastic_pressure(inst, beta, probes, seed, degree):
     """(1/N) ln of the forward trace estimate: the pressure without error bar."""
     (samples,), lo = forward_chebyshev_traces(inst, [beta], probes, seed, degree)
     return (-beta * lo + math.log(float(samples.mean()))) / inst.N
+
+
+def scipy_exact_pressure(inst, beta):
+    """(1/N) ln Tr exp(-beta H) from scipy's eigvalsh (LAPACK dsyevr) on a
+    dense Hamiltonian filled here entry by entry: the single-matrix solver
+    the package used before its exact path moved to stacked numpy calls."""
+    N, dim = inst.N, 1 << inst.N
+    H = np.diag(inst.potential)
+    idx = np.arange(dim)
+    for j in range(N):
+        H[idx, idx ^ (1 << (N - 1 - j))] = -inst.field_weights[j]
+    levels = scipy.linalg.eigvalsh(H)
+    lo = float(levels.min())
+    return (-beta * lo + math.log(float(np.exp(-beta * (levels - lo)).sum()))) / N
 
 
 # Frozen worked scalars (mpmath, 40 digits, formulas above).  The printed

@@ -246,6 +246,19 @@ class TestMalformedValues:
         assert rc == 2
         assert last_error(capsys)["error"] == "validation"
 
+    def test_negative_seed_is_validation_error(self, models, capsys):
+        rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
+                   "--beta", "1.2", "--N", "4", "--replicas", "4", "--seed", "-1", "--out", "-"])
+        assert rc == 2
+        assert "non-negative" in last_error(capsys)["message"]
+
+    @pytest.mark.parametrize("flag", ["--jump-tol", "--slope-tol", "--cluster-gap"])
+    def test_non_finite_transition_tolerance_is_validation_error(self, models, tmp_path, capsys, flag):
+        rc = main(["phase-diagram", "--model", str(models["rem"]), "--beta", "1.0", "--gamma", "0:2:5",
+                   flag, "nan", "--out", str(tmp_path / "grid.csv")])
+        assert rc == 2
+        assert last_error(capsys)["error"] == "validation"
+
     @pytest.mark.parametrize("argv", [
         ["pressure", "--gamma", "1.0"],
         ["phase-diagram", "--gamma", "0:2:5"],

@@ -11,6 +11,7 @@ from tfglass import (
     DomainError,
     FieldSpec,
     TransitionOrder,
+    ValidationError,
     classical_pressure,
     concave_hull,
     magnetization,
@@ -334,6 +335,14 @@ class TestTransitionScan:
                 for tr, gc, L in zip(scan, gcs, hull.lengths[::-1]):
                     assert tr.gamma == pytest.approx(gc, abs=1e-12)
                     assert tr.jump == pytest.approx(L * math.tanh(beta * gc), abs=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("keyword", ["first_order_jump_tol", "second_order_slope_tol", "cluster_gap"])
+    def test_non_finite_tolerance_rejected(self, keyword, value):
+        # every comparison with nan is false, so a nan jump tolerance would
+        # write the REM's first-order line (jump 0.795) as second order
+        with pytest.raises(ValidationError, match="finite"):
+            transition_scan(REM, 1.0, **{keyword: value})
 
     def test_flat_tail_has_one_line(self):
         hull = concave_hull(DistributionSpec.step([0.08, 1.0], [1.0, 1.0]))

@@ -1,6 +1,7 @@
 """Finite-size sampling, exact and stochastic pressures, concentration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from tfglass import (
     sign_invariance_check,
     stochastic_pressure,
 )
-from tfglass.model import ln_2cosh
+from tfglass import verify
+from tfglass.model import ln_2cosh, sample_weights
 from tfglass.verify import (
+    STACK_BYTES,
     _stochastic_traces,
     dense_hamiltonian,
     diagonal_pressure,
@@ -26,7 +29,7 @@ from tfglass.verify import (
     field_only_pressure,
 )
 
-from oracles import forward_stochastic_pressure
+from oracles import forward_stochastic_pressure, scipy_exact_pressure
 
 LN2 = math.log(2.0)
 
@@ -289,3 +292,62 @@ class TestConvergenceStudy:
         # one replica has no spread (ddof=1) and none has no mean
         with pytest.raises(ValidationError, match="at least 2 replicas"):
             convergence_study(REM_SPEC, CONST1, 1.2, [4], replicas=replicas, seed=0)
+
+
+class TestStackedReplicas:
+    """The drivers' exact path: one eigvalsh per stack of replicas."""
+
+    @pytest.mark.parametrize("freeze", [False, True], ids=["resampled", "frozen"])
+    def test_replicas_equal_exact_pressure_bitwise(self, freeze):
+        # 40 replicas at N = 8 are three stacks (16, 16, 8): reversed or
+        # mis-sliced stacks put a value in another replica's place
+        field = FieldSpec.gaussian(1.0, 0.5)
+        for N, replicas in ((4, 6), (8, 40), (10, 3)):
+            study = convergence_study(GREM_SPEC, field, 1.2, [N], replicas, seed=5, freeze_field=freeze)
+            frozen = np.asarray(sample_weights(field, N, np.random.default_rng([5, N, 0])), dtype=float)
+            want = []
+            for r in range(replicas):
+                inst = sample_instance(GREM_SPEC, field, N, [5, N, r + 1])
+                if freeze:
+                    inst = replace(inst, field_weights=frozen)
+                want.append(exact_pressure(inst, 1.2))
+            assert study.replica_phis[0] == tuple(want), N
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stacks_hold_at_most_stack_bytes(self, monkeypatch, workers):
+        # sixteen N = 8 matrices or one N = 10 matrix (8 MB) per eigensolve
+        # call, whatever the number of workers
+        sizes = []
+        spectra = verify._spectra
+
+        def recording(insts):
+            sizes.append((insts[0].N, len(insts)))
+            return spectra(insts)
+
+        monkeypatch.setattr(verify, "_spectra", recording)
+        convergence_study(REM_SPEC, CONST1, 1.2, [8], 40, seed=1, workers=workers)
+        convergence_study(REM_SPEC, CONST1, 1.2, [10], 2, seed=1, workers=workers)
+        assert sorted(sizes) == [(8, 8), (8, 16), (8, 16), (10, 1), (10, 1)]
+        assert STACK_BYTES == 8 * 4**10
+
+    def test_workers_do_not_change_stacked_results(self):
+        a = convergence_study(REM_SPEC, CONST1, 1.2, [8], 40, seed=13, workers=1)
+        b = convergence_study(REM_SPEC, CONST1, 1.2, [8], 40, seed=13, workers=2)
+        assert a == b
+        c = concentration_check(REM_SPEC, CONST1, 8, 1.2, 200, seed=13, workers=1)
+        d = concentration_check(REM_SPEC, CONST1, 8, 1.2, 200, seed=13, workers=2)
+        assert c == d
+
+    def test_within_1e13_of_single_matrix_scipy_solver(self):
+        for N in (6, 8, 10):
+            study = convergence_study(REM_SPEC, CONST1, 1.2, [N], 3, seed=2)
+            for r, phi in enumerate(study.replica_phis[0]):
+                inst = sample_instance(REM_SPEC, CONST1, N, [2, N, r + 1])
+                assert abs(phi - scipy_exact_pressure(inst, 1.2)) <= 1e-13, (N, r)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            convergence_study(REM_SPEC, CONST1, 1.2, [4], 2, seed=seed)
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            concentration_check(REM_SPEC, CONST1, 4, 1.2, 200, seed=seed)
