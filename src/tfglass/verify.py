@@ -48,6 +48,7 @@ EXACT_MAX_N = 14
 STOCH_MAX_N = 20
 STACK_BYTES = 8 << 20  # bytes of dense Hamiltonians per eigensolve call: one N = 10 matrix
 TILE_COLS = 32  # probe columns per Chebyshev tile: 1 MB per vector block at N = 12
+TRUNCATION_EPS = 1e-6  # per spin: guaranteed Chebyshev truncation term of the default degree
 CONCENTRATION_T_VALUES = (1.0, 2.0, 3.0)  # deviations t*beta/sqrt(N) tested against 2 exp(-t^2/4)
 
 
@@ -122,7 +123,7 @@ def sample_instance(spec, field: FieldSpec, N: int, seed) -> FiniteInstance:
         raise ValidationError("N must be >= 1")
     if N > STOCH_MAX_N:
         raise CapacityError(f"sampling gated at N <= {STOCH_MAX_N}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if isinstance(spec, NonHierModel):
         U = _nonhier_potential(spec, N, rng)
     elif isinstance(spec, DistributionSpec):
@@ -217,13 +218,18 @@ class StochasticPressure:
     degree: int
 
 
-def _chebyshev_degree(a: float) -> int:
-    """Terms needed for exp on [-1, 1] scaled by a: Bessel tail below 1e-18."""
+def _chebyshev_degree(a: float, budget: float) -> int:
+    """Degree of the Chebyshev series of exp(-a (x + 1)) on [-1, 1]: the
+    smallest D whose coefficient tail 2 sum_{k>D} ive(k, a), a bound on the
+    sup error, is at most ``budget``, capped where the terms themselves fall
+    below 1e-18 (plus 5), which sits under float64 rounding."""
     k_max = int(a + 40.0 * math.sqrt(a + 1.0) + 60)
-    ks = np.arange(k_max + 1)
-    tail = ive(ks, a)
-    keep = np.nonzero(tail > 1e-18)[0]
-    return int(keep[-1]) + 5 if keep.size else 8
+    terms = ive(np.arange(k_max + 1), a)
+    keep = np.nonzero(terms > 1e-18)[0]
+    cap = int(keep[-1]) + 5 if keep.size else 8
+    tails = 2.0 * np.cumsum(terms[::-1])[::-1]  # tails[k] = 2 sum_{j>=k} ive(j, a)
+    fits = np.nonzero(tails[1:] <= budget)[0]
+    return min(cap, max(1, int(fits[0]))) if fits.size else cap
 
 
 def _chebyshev_moments(H2, z, steps):
@@ -271,9 +277,10 @@ def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
     same moment matrix.  Probes are drawn in blocks capped at 2^24 entries
     (the draws, hence the probes of a given seed, do not depend on the
     tiling) and walked in tiles of TILE_COLS columns, so the recurrence runs
-    in place on cache-sized arrays.  Returns per-beta (trace_mean,
-    trace_stderr, sup_err, lo) with the anchor lo = Gershgorin lower bound,
-    plus the polynomial degree used.
+    in place on cache-sized arrays.  The default degree is the largest of
+    the betas' budget degrees (below).  Returns per-beta (trace_mean,
+    trace_stderr, sup_err, lo, log L) with the anchor lo = Gershgorin lower
+    bound and L the diagonal sum below, plus the polynomial degree used.
     """
     if probes < 1:
         raise ValidationError("need at least one probe")
@@ -281,13 +288,16 @@ def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
         raise ValidationError("polynomial degree must be >= 1")
     if inst.N > STOCH_MAX_N:
         raise CapacityError(f"stochastic path gated at N <= {STOCH_MAX_N}")
+    rng = _rng(seed)
     dim = 1 << inst.N
     b_abs = float(np.abs(inst.field_weights).sum())
     lo = float(inst.potential.min()) - b_abs
     hi = float(inst.potential.max()) + b_abs
+    # Peierls-Bogoliubov: Tr exp(-beta (H - lo)) >= L = sum_sigma exp(-beta (U(sigma) - lo))
+    log_ls = [float(logsumexp(-beta * (inst.potential - lo))) for beta in betas]
     if hi - lo < 1e-12:
         # Zero-width spectrum: H = lo * identity, trace is exact.
-        return [(float(dim), 0.0, 0.0, lo) for _ in betas], 0
+        return [(float(dim), 0.0, 0.0, lo, log_l) for log_l in log_ls], 0
     half = 0.5 * (hi - lo)
     center = 0.5 * (hi + lo)
 
@@ -297,7 +307,9 @@ def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
     H2 = H2.multiply(2.0 / half).tocsr()
 
     a_vals = [beta * half for beta in betas]
-    degree = poly_degree if poly_degree is not None else _chebyshev_degree(max(a_vals))
+    # per beta, the truncation term dim * tail / (N L) stays at or below TRUNCATION_EPS
+    budgets = [TRUNCATION_EPS * inst.N * math.exp(log_l) / dim for log_l in log_ls]
+    degree = poly_degree or max(map(_chebyshev_degree, a_vals, budgets))
     ks = np.arange(degree + 1)
     coeffs = []
     sup_errs = []
@@ -309,7 +321,6 @@ def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
         coeffs.append(c)
 
     steps = (degree + 1) // 2  # ceil(degree / 2) matvecs per probe tile
-    rng = np.random.default_rng(seed)
     block = max(1, min(probes, (1 << 24) // dim))
     tiles = []
     done = 0
@@ -322,11 +333,11 @@ def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
     moments = np.hstack(tiles)[: degree + 1]
 
     out = []
-    for c, sup_err in zip(coeffs, sup_errs):
+    for c, sup_err, log_l in zip(coeffs, sup_errs, log_ls):
         samples = c @ moments  # one trace sample per probe
         mean = float(samples.mean())
         stderr = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else math.inf
-        out.append((mean, stderr, sup_err, lo))
+        out.append((mean, stderr, sup_err, lo, log_l))
     return out, degree
 
 
@@ -341,18 +352,23 @@ def stochastic_pressure(
 ) -> StochasticPressure:
     """Trace-estimated pressure with an error bar.
 
-    The error combines the probe-variance standard error with the polynomial
-    truncation bound (sup error times dimension, relative to the estimated
-    trace).  When ``tol`` is given and the budget cannot reach it, the result
-    is flagged (converged=False) instead of silently degraded.
+    The error combines the probe-variance standard error, relative to the
+    estimated trace, with the polynomial truncation bound: sup error times
+    dimension, relative to the Peierls-Bogoliubov lower bound L of the trace,
+    so that part holds whatever the probes drew.  The default degree keeps
+    that part at or below TRUNCATION_EPS per spin.  When ``tol`` is given and
+    the budget cannot reach it, the result is flagged (converged=False)
+    instead of silently degraded.
     """
     results, degree = _stochastic_traces(inst, [beta], probes, seed, poly_degree)
-    mean, stderr, sup_err, lo = results[0]
-    dim = 1 << inst.N
+    mean, stderr, sup_err, lo, log_l = results[0]
     if mean <= 0.0:
         return StochasticPressure(math.nan, math.inf, False, probes, degree)
     value = (-beta * lo + math.log(mean)) / inst.N
-    error = (stderr / mean + dim * sup_err / mean) / inst.N
+    # dim * sup_err / L in logs: L underflows at large beta * sum |b_j|
+    log_trunc = inst.N * math.log(2.0) + math.log(sup_err) - log_l if sup_err > 0.0 else -math.inf
+    trunc = math.exp(log_trunc) if log_trunc < 700.0 else math.inf
+    error = (stderr / mean + trunc) / inst.N
     converged = tol is None or error <= tol
     return StochasticPressure(value, error, converged, probes, degree)
 
@@ -372,8 +388,8 @@ def sign_invariance_check(inst: FiniteInstance, beta: float, patterns: int = 1, 
     The diagonal depends on the field weights only through their absolute
     values, so the return value is floating-point noise (contract: <= 1e-8).
     """
+    rng = _rng(seed)
     base, anchor = _exp_diag(inst, beta)
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(patterns):
         signs = rng.integers(0, 2, inst.N) * 2.0 - 1.0
@@ -486,6 +502,13 @@ def _seed_int(seed) -> int:
     if isinstance(seed, (int, np.integer)) and seed >= 0:
         return int(seed)
     raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _rng(seed) -> np.random.Generator:
+    """Generator for a library seed: a non-negative integer or a sequence of them."""
+    for part in seed if isinstance(seed, (list, tuple, np.ndarray)) else [seed]:
+        _seed_int(part)
+    return np.random.default_rng(seed)
 
 
 def limiting_pressure(spec, field: FieldSpec, beta: float) -> float:

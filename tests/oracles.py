@@ -5,7 +5,8 @@ oracle enumerates chains over point subsets instead of scanning, the
 pressure oracles recompute the closed forms in mpmath arbitrary precision,
 the cut-point oracle maximizes the truncated pressure over the kinks instead
 of summing partial pressures, the trace oracle runs the Chebyshev
-recurrence forward over every degree, the dense oracle diagonalizes one
+recurrence forward over every degree, the degree oracles sum the Bessel
+tail of one degree directly, the dense oracle diagonalizes one
 matrix at a time with scipy, and the non-hierarchical oracles
 search every chain instead of building the greedy one, or build it by a
 scalar scan over supersets instead of table lookups.
@@ -198,6 +199,30 @@ def mp_gaussian_paramagnetic(mean, stddev, beta):
         return mp_ln2cosh(beta * mean)
     density = lambda t: mp.exp(-t**2 / 2) / mp.sqrt(2 * mp.pi)
     return mp.quad(lambda t: density(t) * mp_ln2cosh(beta * (mean + stddev * t)), [-mp.inf, mp.inf])
+
+
+def _gershgorin(inst):
+    """(lo, half): the lower end and half-width of the Gershgorin interval."""
+    b_abs = float(np.abs(inst.field_weights).sum())
+    lo, hi = float(inst.potential.min()) - b_abs, float(inst.potential.max()) + b_abs
+    return lo, 0.5 * (hi - lo)
+
+
+def absolute_chebyshev_degree(inst, beta):
+    """The degree rule without a budget: the last Chebyshev coefficient of
+    exp(-beta (H - lo)) on the Gershgorin interval above 1e-18, plus 5."""
+    ive_k = ive(np.arange(2000), beta * _gershgorin(inst)[1])
+    return int(np.nonzero(ive_k > 1e-18)[0][-1]) + 5
+
+
+def guaranteed_truncation(inst, beta, degree):
+    """dim * 2 sum_{k > degree} ive(k, beta half) / (N L) with the diagonal
+    sum L = sum_sigma exp(-beta (U(sigma) - lo)) <= Tr exp(-beta (H - lo)):
+    a bound on the per-spin pressure error of a degree-``degree`` series."""
+    lo, half = _gershgorin(inst)
+    tail = 2.0 * math.fsum(ive(np.arange(degree + 1, degree + 2000), beta * half))
+    diag_sum = math.fsum(np.exp(-beta * (inst.potential - lo)))
+    return (1 << inst.N) * tail / (inst.N * diag_sum)
 
 
 def forward_chebyshev_traces(inst, betas, probes, seed, degree):

@@ -29,7 +29,12 @@ from tfglass.verify import (
     field_only_pressure,
 )
 
-from oracles import forward_stochastic_pressure, scipy_exact_pressure
+from oracles import (
+    absolute_chebyshev_degree,
+    forward_stochastic_pressure,
+    guaranteed_truncation,
+    scipy_exact_pressure,
+)
 
 LN2 = math.log(2.0)
 
@@ -208,6 +213,69 @@ class TestChebyshevMoments:
             assert abs(est.value - exact_pressure(inst, 2.5)) <= est.error
 
 
+class TestDegreeRule:
+    """The default degree: smallest with a guaranteed truncation term of at
+    most 1e-6 per spin relative to the diagonal lower bound of the trace."""
+
+    GRID = [
+        (name, spec, N, beta, seed)
+        for name, spec in (("rem", REM_SPEC), ("two-block", GREM_SPEC))
+        for N in (8, 10, 12)
+        for beta in (0.3, 0.8, 1.2, 2.5)
+        for seed in (1, 2, 3)
+    ]
+
+    @staticmethod
+    def degree(inst, betas):
+        return _stochastic_traces(inst, betas, 1, 0)[1]
+
+    def test_values_within_1e6_of_the_absolute_degree(self):
+        for name, spec, N, beta, seed in self.GRID:
+            inst = sample_instance(spec, CONST1, N, [N, seed])
+            est = stochastic_pressure(inst, beta, probes=64, seed=seed)
+            ref = stochastic_pressure(inst, beta, 64, absolute_chebyshev_degree(inst, beta), seed=seed)
+            assert abs(est.value - ref.value) <= 1e-6, (name, N, beta, seed)
+
+    def test_smallest_degree_within_the_budget(self):
+        for name, spec, N, beta, seed in self.GRID:
+            inst = sample_instance(spec, CONST1, N, [N, seed])
+            d = self.degree(inst, [beta])
+            if d < absolute_chebyshev_degree(inst, beta):  # else capped: terms below 1e-18
+                assert guaranteed_truncation(inst, beta, d) <= 1e-6, (name, N, beta, seed)
+            assert guaranteed_truncation(inst, beta, d - 1) > 1e-6, (name, N, beta, seed)
+
+    def test_never_above_the_absolute_degree_and_equal_at_large_beta(self):
+        # at large beta the budget falls below the 1e-18 terms, so the
+        # beta = 8 capacity errors see the same degree as without a budget
+        for name, spec, N, beta, seed in self.GRID + [(n, s, N, 8.0, r) for n, s, N, _b, r in self.GRID]:
+            inst = sample_instance(spec, CONST1, N, [N, seed])
+            d, cap = self.degree(inst, [beta]), absolute_chebyshev_degree(inst, beta)
+            assert d == cap if beta == 8.0 or (beta, N) == (2.5, 12) else d <= cap, (name, N, beta, seed)
+
+    def test_beta_grid_takes_the_largest_degree(self):
+        inst = sample_instance(GREM_SPEC, CONST1, 10, 5)
+        singles = [self.degree(inst, [beta]) for beta in (0.3, 1.2, 0.8)]
+        assert self.degree(inst, [0.3, 1.2, 0.8]) == max(singles) == singles[1]
+
+    @pytest.mark.parametrize("spec", [REM_SPEC, GREM_SPEC], ids=["rem", "two-block"])
+    def test_matvec_saving_at_N12(self, spec):
+        # the absolute degrees of these instances are 47-49 at beta = 0.8 and
+        # 55-57 at beta = 1.2
+        for r in range(1, 6):
+            inst = sample_instance(spec, CONST1, 12, [12, r])
+            assert self.degree(inst, [0.8]) <= 35, r
+            assert self.degree(inst, [1.2]) <= 47, r
+
+    def test_truncation_part_of_the_error_is_guaranteed(self):
+        # at degree 24 the truncation term dominates the error; the estimated
+        # trace exceeds its lower bound L many times over, so a bar relative
+        # to the estimate would not cover the guaranteed term
+        for seed in (1, 2, 3):
+            inst = sample_instance(REM_SPEC, CONST1, 10, seed)
+            est = stochastic_pressure(inst, 1.2, 64, poly_degree=24, seed=1)
+            assert est.error >= guaranteed_truncation(inst, 1.2, 24) * (1.0 - 1e-9), seed
+
+
 class TestSignInvariance:
     def test_random_flip_patterns_leave_diagonal_fixed(self):
         inst = sample_instance(GREM_SPEC, CONST1, 6, 21)
@@ -351,3 +419,14 @@ class TestStackedReplicas:
             convergence_study(REM_SPEC, CONST1, 1.2, [4], 2, seed=seed)
         with pytest.raises(ValidationError, match="non-negative integer"):
             concentration_check(REM_SPEC, CONST1, 4, 1.2, 200, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, [3, -1], 1.5, "3"], ids=["negative", "negative-part", "float", "str"])
+def test_library_seeds_must_be_non_negative_integers(seed):
+    inst = sample_instance(REM_SPEC, CONST1, 4, 1)
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        sample_instance(REM_SPEC, CONST1, 4, seed)
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        stochastic_pressure(inst, 1.0, 4, seed=seed)
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        sign_invariance_check(inst, 1.0, seed=seed)
