@@ -27,6 +27,7 @@ from .nonhier import (
     classical_nonhier_pressure,
     greedy_chain,
     greedy_quantum_pressure,
+    greedy_reduction,
     quantum_nonhier_pressure,
 )
 from .quantum import (

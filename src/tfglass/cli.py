@@ -31,13 +31,7 @@ from .model import (
     FieldSpec,
     concave_hull,
 )
-from .nonhier import (
-    NonHierModel,
-    chain_grem,
-    greedy_chain,
-    indices_of,
-    terminal_set,
-)
+from .nonhier import NonHierModel, greedy_reduction, indices_of
 from .quantum import (
     BlockPhase,
     magnetization,
@@ -122,7 +116,9 @@ def load_model(path: str):
             values = list(np.cumsum([float(v) for v in doc["jumps"]]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad hierarchical model document: {exc}") from exc
-    normalized = bool(doc.get("normalized", True))
+    normalized = doc.get("normalized", True)
+    if not isinstance(normalized, bool):
+        raise ValidationError(f"normalized must be true or false, got {normalized!r}")
     if kind == "step":
         return DistributionSpec.step(xs, values, normalized)
     if kind == "piecewise_linear":
@@ -265,16 +261,14 @@ def cmd_nonhier(args) -> int:
         raise ValidationError("this subcommand needs a non-hierarchical model file")
     betas = parse_grid(args.beta)
     fields = _fields_for(args)
-    greedy = greedy_chain(model)
-    red = chain_grem(model, greedy)
-    greedy_hull = red.hull()
-    order = "|".join(str(i) for i in greedy.order)
+    chain, hull, kink_sets = greedy_reduction(model)
+    order = "|".join(str(i) for i in chain.order)
     rows = []
     for beta in betas:
-        classical = classical_pressure(greedy_hull, beta)
+        classical = classical_pressure(hull, beta)
         for label, field in fields:
-            res = qgrem_pressure(greedy_hull, beta, field)
-            d_mask = terminal_set(greedy, red, greedy_hull, res.argmax)
+            res = qgrem_pressure(hull, beta, field)
+            d_mask = kink_sets[res.argmax - 1] if res.argmax else 0
             d_str = "|".join(str(i) for i in indices_of(d_mask)) or "-"
             rows.append((beta, label, classical, res.value, d_str, res.value, order))
     _write_csv(args.out, ("beta", "gamma_or_law", "classical", "quantum", "argmax_D",

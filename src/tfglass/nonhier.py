@@ -1,4 +1,4 @@
-"""Non-hierarchical models: subset weights, chains, max-min pressure, greedy chain.
+"""Non-hierarchical models: subset weights, chains, max-min pressure, greedy reduction.
 
 Here the Gaussian energy attaches an independent layer to every nonempty
 subset J of the n spin blocks, with weight a_J.  A chain of nested subsets
@@ -12,11 +12,12 @@ D, plus the paramagnetic share of the blocks outside D.
 A single chain suffices: greedily absorbing the superset with the largest
 marginal slope produces a chain whose hull dominates every other chain's
 hull pointwise, so the min over chains and the max-min are both read off
-that one hull (classical pressure, cut formula); no chain is enumerated.
+that one hull, whose kinks are the greedy rounds (classical pressure, cut
+formula; D is the round set at the winning cut); no chain is enumerated.
 
 Subsets are bitmasks over blocks 0..n-1 (bit k = block k+1 of the 1-based
-file format).  `greedy_chain` reads weights and lengths from tables over all
-2^n masks, one vectorised argmax per round; it is gated at n <= 20, like
+file format).  `greedy_reduction` reads weights and lengths from tables over
+all 2^n masks, one vectorised argmax per round; it is gated at n <= 20, like
 `sample_instance`'s N, where it takes under a second.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .classical import classical_pressure
 from .errors import CapacityError, ValidationError
-from .model import ConcaveHull, DistributionSpec, FieldSpec, ProfileKind, hull_from_points
+from .model import ConcaveHull, FieldSpec, hull_from_points
 from .quantum import qgrem_pressure
 
 GREEDY_MAX_BLOCKS = 20
@@ -48,7 +49,8 @@ def mask_of(indices) -> int:
 
 def indices_of(mask: int) -> tuple[int, ...]:
     """1-based block indices of a bitmask, ascending."""
-    return tuple(k + 1 for k in range(int(mask).bit_length()) if mask >> k & 1)
+    # from a list: tuple(generator) shrinks tuples that CPython's free lists then hoard
+    return tuple([k + 1 for k in range(int(mask).bit_length()) if mask >> k & 1])
 
 
 def subset_sums(values) -> np.ndarray:
@@ -104,23 +106,26 @@ class NonHierModel:
     def from_json_dict(cls, doc: dict) -> "NonHierModel":
         """Parse the file format {"n": ..., "L": [...], "weights": {"1,3": ...}}.
 
-        Subset keys are sorted comma-joined 1-based block indices.
+        Subset keys are sorted comma-joined 1-based block indices, each once.
         """
         try:
-            n = int(doc["n"])
+            n, raw = doc["n"], doc["weights"]
             lengths = tuple(float(l) for l in doc["L"])
-            raw = doc["weights"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad non-hierarchical model document: {exc}") from exc
+        if isinstance(n, bool) or not isinstance(n, int) or not isinstance(raw, dict):
+            raise ValidationError("n must be an integer and weights an object of subset keys")
         weights = {}
         for key, val in raw.items():
             try:
                 idx = [int(tok) for tok in str(key).split(",")]
-            except ValueError as exc:
-                raise ValidationError(f"bad subset key {key!r}") from exc
-            if idx != sorted(set(idx)) or any(i < 1 or i > n for i in idx):
-                raise ValidationError(f"subset key {key!r} must be sorted distinct indices in 1..{n}")
-            weights[mask_of(idx)] = float(val)
+                a = float(val)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"bad subset entry {key!r}: {val!r}") from exc
+            if idx != sorted(set(idx)) or any(i < 1 or i > n for i in idx) or mask_of(idx) in weights:
+                raise ValidationError(f"subset key {key!r} must be sorted distinct indices in 1..{n}, "
+                                      "each subset once")
+            weights[mask_of(idx)] = a
         return cls(n, lengths, weights)
 
     @property
@@ -177,12 +182,8 @@ class Chain:
 
     @property
     def order(self) -> tuple[int, ...]:
-        """Block indices in the order the chain adds them."""
-        out, prev = [], 0
-        for mask in self.sets:
-            out.extend(indices_of(mask & ~prev))
-            prev = mask
-        return tuple(out)
+        """Block indices in the order the chain adds them, one per unit step."""
+        return tuple((mask & ~prev).bit_length() for prev, mask in zip((0, *self.sets), self.sets))
 
 
 @dataclass(frozen=True)
@@ -198,43 +199,30 @@ class ReducedGrem:
     weights: tuple[float, ...]
     endpoints: tuple[float, ...]
 
-    def spec(self) -> DistributionSpec:
-        """Step profile of a full chain (endpoint 1); invalid for partial chains."""
-        values = tuple(np.cumsum(self.weights))
-        normalized = abs(values[-1] - 1.0) <= _SUM_TOL
-        return DistributionSpec(ProfileKind.STEP, tuple(zip(self.endpoints, values)), normalized)
-
     def hull(self) -> ConcaveHull:
         """Concave envelope over [0, covered length]; works for partial chains."""
-        values = np.cumsum(self.weights)
-        return hull_from_points(tuple(zip(self.endpoints, values)))
+        return hull_from_points(zip(self.endpoints, np.cumsum(self.weights)))
 
 
 def chain_grem(model: NonHierModel, chain: Chain) -> ReducedGrem:
     """Hierarchical model a chain induces: absorbed weights and endpoints.
 
-    For a full chain the absorbed weights partition the total exactly (every
-    nonempty subset is counted at the first chain set containing it).
+    One pass over the weights: a subset inside the terminal set is absorbed at
+    the largest chain position among its blocks, the first chain set holding
+    it, so for a full chain the absorbed weights partition the total exactly.
     """
     if chain.terminal & ~model.full_mask:
         raise ValidationError("chain references blocks outside the model")
-    if not chain.sets:
-        return ReducedGrem((), ())
-    weights, endpoints = [], []
-    prev = 0
-    for mask in chain.sets:
-        a_k = 0.0
-        for sub, a in model.weights.items():
-            if sub & ~mask == 0 and sub & ~prev != 0:
-                a_k += a
-        weights.append(a_k)
-        endpoints.append(model.subset_length(mask))
-        prev = mask
-    return ReducedGrem(tuple(weights), tuple(endpoints))
+    position = {i: k for k, i in enumerate(chain.order)}
+    weights = [0.0] * len(chain.sets)
+    for sub, a in model.weights.items():
+        if sub & ~chain.terminal == 0:
+            weights[max(position[i] for i in indices_of(sub))] += a
+    return ReducedGrem(tuple(weights), tuple([model.subset_length(mask) for mask in chain.sets]))
 
 
-def greedy_chain(model: NonHierModel) -> Chain:
-    """Chain built by repeatedly absorbing the superset of maximal marginal slope.
+def greedy_reduction(model: NonHierModel) -> tuple[Chain, ConcaveHull, tuple[int, ...]]:
+    """Greedy chain, its concave envelope, and the chain set at each kink.
 
     Starting from the empty set, each round picks the strict superset S of the
     current set C maximizing the incremental slope
@@ -253,6 +241,10 @@ def greedy_chain(model: NonHierModel) -> Chain:
     support point with decreasing slopes, hence dominate every other chain's
     envelope pointwise: a total-slope rule can absorb supersets that add
     length but no weight and lose both dominance and pressure minimality.
+    Any chain set inside a round lies on or under the round's chord, so the
+    envelope is the hull of the round points alone.  kink_sets[k] is the round
+    set of length hull.support[k], an exact match as the hull copies its kinks
+    from those points (rounds merged as float near-ties drop out).
     """
     n = model.n
     if n > GREEDY_MAX_BLOCKS:
@@ -260,27 +252,28 @@ def greedy_chain(model: NonHierModel) -> Chain:
     atilde, lengths = model.cumulative_weights(), subset_sums(model.block_lengths)
     size, rank = subset_sums([1] * n), subset_sums([1 << (n - 1 - k) for k in range(n)])
     masks = np.arange(1 << n)
-    current, order = 0, []
+    current, order, rounds = 0, [], {}
     while current != model.full_mask:
         cand = masks[(masks & current) == current][1:]  # strict supersets; [0] is current
         slope = (atilde[cand] - atilde[current]) / (lengths[cand] - lengths[current])
         top = cand[slope == slope.max()]
         best = int(top[np.lexsort((rank[top], size[top]))[-1]])
         order.extend(indices_of(best & ~current))
+        rounds[float(lengths[best])] = best
         current = best
-    return Chain.from_order(order)
+    hull = hull_from_points([(x, atilde[s]) for x, s in rounds.items()])
+    return Chain.from_order(order), hull, tuple(rounds[y] for y in hull.support)
+
+
+def greedy_chain(model: NonHierModel) -> Chain:
+    """Chain of `greedy_reduction`: absorb the superset of maximal marginal slope."""
+    return greedy_reduction(model)[0]
 
 
 def classical_nonhier_pressure(model: NonHierModel, beta: float) -> tuple[float, Chain]:
     """Minimum over full chains of the induced pressure: the greedy chain's value, and the chain."""
-    chain = greedy_chain(model)
-    return classical_pressure(chain_grem(model, chain).hull(), beta), chain
-
-
-def terminal_set(chain: Chain, red: ReducedGrem, hull: ConcaveHull, k: int) -> int:
-    """Chain set covering the k-th kink of hull = red.hull() (0 for k = 0); an
-    exact match, as the hull copies its kinks from the reduction's endpoints."""
-    return chain.sets[red.endpoints.index(hull.support[k - 1])] if k else 0
+    chain, hull, _ = greedy_reduction(model)
+    return classical_pressure(hull, beta), chain
 
 
 def quantum_nonhier_pressure(model: NonHierModel, beta: float, field: FieldSpec) -> tuple[float, int]:
@@ -288,16 +281,14 @@ def quantum_nonhier_pressure(model: NonHierModel, beta: float, field: FieldSpec)
 
     Each candidate is the reduced pressure on the blocks of D plus the
     paramagnetic pressure of the remaining length.  The greedy chain's cut
-    formula attains the maximum; D (a bitmask) is its chain set covering the
+    formula attains the maximum; D (a bitmask) is the greedy round set at the
     winning cut point, 0 when every block is paramagnetic.
     """
-    chain = greedy_chain(model)
-    red = chain_grem(model, chain)
-    hull = red.hull()
+    _, hull, kink_sets = greedy_reduction(model)
     res = qgrem_pressure(hull, beta, field)
-    return res.value, terminal_set(chain, red, hull, res.argmax)
+    return res.value, kink_sets[res.argmax - 1] if res.argmax else 0
 
 
 def greedy_quantum_pressure(model: NonHierModel, beta: float, field: FieldSpec):
     """Quantum pressure of the hierarchical model the greedy chain induces."""
-    return qgrem_pressure(chain_grem(model, greedy_chain(model)).hull(), beta, field)
+    return qgrem_pressure(greedy_reduction(model)[1], beta, field)

@@ -33,7 +33,6 @@ from scipy.special import ive, logsumexp
 
 from .errors import CapacityError, ValidationError
 from .model import (
-    ConcaveHull,
     DistributionSpec,
     FieldSpec,
     ProfileKind,
@@ -517,8 +516,6 @@ def limiting_pressure(spec, field: FieldSpec, beta: float) -> float:
         return quantum_nonhier_pressure(spec, beta, field)[0]
     if isinstance(spec, DistributionSpec):
         return qgrem_pressure(concave_hull(spec), beta, field).value
-    if isinstance(spec, ConcaveHull):
-        return qgrem_pressure(spec, beta, field).value
     raise ValidationError(f"unsupported spec type {type(spec).__name__}")
 
 

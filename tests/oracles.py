@@ -8,8 +8,9 @@ of summing partial pressures, the trace oracle runs the Chebyshev
 recurrence forward over every degree, the degree oracles sum the Bessel
 tail of one degree directly, the dense oracle diagonalizes one
 matrix at a time with scipy, and the non-hierarchical oracles
-search every chain instead of building the greedy one, or build it by a
-scalar scan over supersets instead of table lookups.
+search every chain instead of building the greedy one, build it by a
+scalar scan over supersets instead of table lookups, or absorb a chain's
+weights step by step instead of in one pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import scipy.sparse
 from scipy.special import ive
 
 from tfglass import Chain, chain_grem, classical_pressure, crem_truncated_pressure
-from tfglass.nonhier import indices_of
+from tfglass.nonhier import ReducedGrem, indices_of
 
 mp.mp.dps = 40
 
@@ -176,6 +177,22 @@ def scan_greedy_chain(model):
         order.extend(indices_of(best[1] & ~current))
         current = best[1]
     return Chain.from_order(order)
+
+
+def loop_chain_grem(model, chain):
+    """chain_grem step by step: each chain set absorbs, in weight-dict order,
+    every subset inside it but not inside the previous set."""
+    weights, endpoints = [], []
+    prev = 0
+    for mask in chain.sets:
+        a_k = 0.0
+        for sub, a in model.weights.items():
+            if sub & ~mask == 0 and sub & ~prev != 0:
+                a_k += a
+        weights.append(a_k)
+        endpoints.append(model.subset_length(mask))
+        prev = mask
+    return ReducedGrem(tuple(weights), tuple(endpoints))
 
 
 def loop_cumulative_weights(model):

@@ -239,6 +239,28 @@ class TestMalformedValues:
         assert rc == 2
         assert last_error(capsys)["error"] == "validation"
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "L": [0.5, 0.5], "weights": {"1": 0.3, "01": 0.3, "2": 0.7}},
+        {"n": 2, "L": [0.5, 0.5], "weights": {"1,2": 0.3, " 1,2": 0.3, "2": 0.7}},
+        {"n": 1, "L": [1.0], "weights": [1]},
+        {"n": 1, "L": [1.0], "weights": {"1": "x"}},
+        {"n": 1, "L": [1.0], "weights": {"1": None}},
+        {"n": 1.5, "L": [1.0], "weights": {"1": 1.0}},
+        {"n": True, "L": [1.0], "weights": {"1": 1.0}},
+    ], ids=["repeated-singleton", "repeated-pair", "weights-list", "weight-string", "weight-null",
+            "fractional-n", "boolean-n"])
+    def test_malformed_nonhier_model_is_validation_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "nh.json"
+        path.write_text(json.dumps(doc))
+        assert main(["nonhier", "--model", str(path), "--beta", "1.2", "--gamma", "1.0", "--out", "-"]) == 2
+        assert last_error(capsys)["error"] == "validation"
+
+    def test_non_boolean_normalized_flag_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "grem.json"
+        path.write_text(json.dumps({"kind": "step", "x": [1.0], "A": [1.0], "normalized": "no"}))
+        assert main(["pressure", "--model", str(path), "--beta", "1.2", "--gamma", "1.0", "--out", "-"]) == 2
+        assert last_error(capsys)["error"] == "validation"
+
     @pytest.mark.parametrize("replicas", ["0", "1"])
     def test_verify_needs_two_replicas(self, models, capsys, replicas):
         rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",

@@ -19,6 +19,7 @@ from tfglass import (
     concave_hull,
     greedy_chain,
     greedy_quantum_pressure,
+    greedy_reduction,
     paramagnetic_pressure,
     quantum_nonhier_pressure,
 )
@@ -27,6 +28,7 @@ from tfglass.nonhier import indices_of, mask_of, subset_sums
 from conftest import random_field, random_nonhier
 from oracles import (
     chain_min_pressures,
+    loop_chain_grem,
     loop_cumulative_weights,
     maxmin_candidates,
     minchain_classical_pressure,
@@ -101,13 +103,23 @@ class TestChainGrem:
         assert red.endpoints == pytest.approx((0.5,))
         hull = red.hull()
         assert hull.span == pytest.approx(0.5)
-        with pytest.raises(ValidationError):
-            red.spec()  # reduced domain cannot be a full profile
 
     def test_full_chain_spec_is_step_profile(self):
-        spec = chain_grem(MODEL2, Chain.from_order([1, 2])).spec()
-        assert isinstance(spec, DistributionSpec)
+        red = chain_grem(MODEL2, Chain.from_order([1, 2]))
+        spec = DistributionSpec.step(red.endpoints, np.cumsum(red.weights))
         assert spec.points == ((0.5, 0.2), (1.0, 1.0))
+
+    def test_bitwise_equal_to_loop(self, rng):
+        # dense models put many subsets in one step, where summation order shows
+        for n in range(1, 9):
+            raw = rng.dirichlet(np.ones((1 << n) - 1))
+            dense = NonHierModel(n, tuple([1.0 / n] * n),
+                                 {m: float(w) for m, w in enumerate(raw / raw.sum(), start=1)})
+            for model in (random_nonhier(rng, n=n), dense):
+                for _ in range(4):
+                    perm = [int(i) + 1 for i in rng.permutation(n)]
+                    for chain in (Chain.from_order(perm), Chain.from_order(perm[:rng.integers(0, n)])):
+                        assert chain_grem(model, chain) == loop_chain_grem(model, chain)
 
     def test_chain_outside_model_rejected(self):
         with pytest.raises(ValidationError):
@@ -298,6 +310,24 @@ class TestGreedyChainTables:
         for n in (12, 14):
             for model in _tie_heavy_models(rng, n):
                 assert greedy_chain(model) == scan_greedy_chain(model)
+
+    def test_reduction_hull_is_the_greedy_chain_hull(self, rng):
+        # the round points alone span the envelope of every chain set, and
+        # each kink is read off the round set that lies on it.  Two rounds
+        # whose slopes tie up to rounding may stay separate kinks in one hull
+        # and merge in the other, so the envelopes are compared at the union
+        # of their kinks, which bounds their distance everywhere.
+        for n in range(1, 11):
+            for _ in range(8):
+                for model in _tie_heavy_models(rng, n):
+                    chain, hull, kink_sets = greedy_reduction(model)
+                    assert chain == greedy_chain(model)
+                    want = chain_grem(model, chain).hull()
+                    assert hull.span == want.span
+                    for y in hull.support + want.support:
+                        assert hull.value_at(y) == pytest.approx(want.value_at(y), abs=1e-14)
+                    assert len(kink_sets) == hull.m and set(kink_sets) <= set(chain.sets)
+                    assert [model.subset_length(d) for d in kink_sets] == list(hull.support)
 
     def test_length_table_bitwise_equal_to_subset_length(self, rng):
         for n in range(1, 13):
