@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import DomainError
 from .model import LN2, ConcaveHull
 
 _TWO_LN2 = 2.0 * LN2
+_TABLE_CACHE_SIZE = 16  # (hull, beta) tables kept; one phase-diagram beta-row reuses one per hull
 
 
 @dataclass(frozen=True)
@@ -35,20 +37,30 @@ class PartialPressureTable:
     frozen: tuple[bool, ...]
     lengths: tuple[float, ...]
 
-    @property
+    @cached_property
     def total(self) -> float:
         return float(sum(self.phi))
 
-    @property
+    @cached_property
     def per_length(self) -> tuple[float, ...]:
         """phi_l / L_l, the per-length contributions (strictly decreasing in l)."""
         return tuple(p / l for p, l in zip(self.phi, self.lengths))
 
 
 def partial_pressures(hull: ConcaveHull, beta: float) -> PartialPressureTable:
-    """Evaluate every segment's partial pressure at inverse temperature beta."""
+    """Evaluate every segment's partial pressure at inverse temperature beta.
+
+    The table depends on (hull, beta) only, so it is built once and shared:
+    a field or a gamma grid enters the quantum formulas through p(beta gamma)
+    alone.  Any real beta (int, numpy scalar, 0-d array) keys as its float.
+    """
     if not 0.0 <= beta < math.inf:
         raise DomainError("beta must be finite and >= 0")
+    return _table(hull, float(beta))
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _table(hull: ConcaveHull, beta: float) -> PartialPressureTable:
     phi, fbeta, frozen = [], [], []
     for a_l, L_l, g_l in zip(hull.increments, hull.lengths, hull.slopes):
         b_l = math.sqrt(_TWO_LN2 / g_l) if g_l > 0.0 else math.inf

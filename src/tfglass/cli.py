@@ -29,6 +29,8 @@ from .model import (
     LN2,
     DistributionSpec,
     FieldSpec,
+    _json_number,
+    _json_numbers,
     concave_hull,
 )
 from .nonhier import NonHierModel, greedy_reduction, indices_of
@@ -109,11 +111,11 @@ def load_model(path: str):
         return NonHierModel.from_json_dict(doc)
     kind = doc.get("kind", "step")
     try:
-        xs = [float(v) for v in doc["x"]]
+        xs = _json_numbers(doc["x"], "x")
         if "A" in doc:
-            values = [float(v) for v in doc["A"]]
+            values = _json_numbers(doc["A"], "A")
         else:
-            values = list(np.cumsum([float(v) for v in doc["jumps"]]))
+            values = list(np.cumsum(_json_numbers(doc["jumps"], "jumps")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad hierarchical model document: {exc}") from exc
     normalized = doc.get("normalized", True)
@@ -142,7 +144,8 @@ def parse_field(text: str) -> FieldSpec:
     if not isinstance(doc, list):
         raise ValidationError(f"{kind} field file {rest!r} must hold a JSON list")
     try:
-        values = [(float(v), float(p)) for v, p in doc] if kind == "discrete" else [float(v) for v in doc]
+        values = ([(_json_number(v, "value"), _json_number(p, "probability")) for v, p in doc]
+                  if kind == "discrete" else _json_numbers(doc, "samples"))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad {kind} field file {rest!r}: {exc}") from exc
     return FieldSpec.discrete(values) if kind == "discrete" else FieldSpec.empirical(values)

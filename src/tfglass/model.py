@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +31,20 @@ _SUM_TOL = 1e-12
 class ProfileKind(enum.Enum):
     STEP = "step"
     PIECEWISE_LINEAR = "piecewise_linear"
+
+
+def _json_number(value, what: str) -> float:
+    """A number read from a JSON document: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(values, what: str) -> list[float]:
+    """A list of numbers read from a JSON document, each checked as _json_number."""
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{what} must be a list of numbers, got {values!r}")
+    return [_json_number(v, f"each of {what}") for v in values]
 
 
 def ln_2cosh(x):
@@ -133,6 +147,8 @@ class ConcaveHull:
     slopes: tuple[float, ...]
 
     def __post_init__(self):
+        for f in fields(self):  # tuples, so that partial_pressures can key its cache on the hull
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         m = len(self.support)
         if m == 0 or not (len(self.increments) == len(self.lengths) == len(self.slopes) == m):
             raise ValidationError("hull fields must be non-empty and of equal length")

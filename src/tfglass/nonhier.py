@@ -31,7 +31,7 @@ import numpy as np
 
 from .classical import classical_pressure
 from .errors import CapacityError, ValidationError
-from .model import ConcaveHull, FieldSpec, hull_from_points
+from .model import ConcaveHull, FieldSpec, _json_number, _json_numbers, hull_from_points
 from .quantum import qgrem_pressure
 
 GREEDY_MAX_BLOCKS = 20
@@ -109,19 +109,19 @@ class NonHierModel:
         Subset keys are sorted comma-joined 1-based block indices, each once.
         """
         try:
-            n, raw = doc["n"], doc["weights"]
-            lengths = tuple(float(l) for l in doc["L"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n, raw, lengths = doc["n"], doc["weights"], doc["L"]
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad non-hierarchical model document: {exc}") from exc
+        lengths = tuple(_json_numbers(lengths, "block lengths L"))
         if isinstance(n, bool) or not isinstance(n, int) or not isinstance(raw, dict):
             raise ValidationError("n must be an integer and weights an object of subset keys")
         weights = {}
         for key, val in raw.items():
             try:
                 idx = [int(tok) for tok in str(key).split(",")]
-                a = float(val)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValidationError(f"bad subset entry {key!r}: {val!r}") from exc
+            a = _json_number(val, f"weight of subset {key!r}")
             if idx != sorted(set(idx)) or any(i < 1 or i > n for i in idx) or mask_of(idx) in weights:
                 raise ValidationError(f"subset key {key!r} must be sorted distinct indices in 1..{n}, "
                                       "each subset once")

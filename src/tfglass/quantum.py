@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .classical import classical_pressure, crem_truncated_pressure, partial_pressures
 from .errors import DomainError, ValidationError
@@ -59,8 +60,11 @@ class QuantumPressureResult:
     block_phases: tuple[BlockPhase, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
+    """One magnetic transition line at fixed beta.  Slotted (56 bytes, about
+    half the size with an instance dict): phase diagrams keep a few per beta."""
+
     gamma: float
     order: TransitionOrder
     jump: float
@@ -71,6 +75,7 @@ def _require_full_span(hull: ConcaveHull):
         raise ValidationError("quantum formulas need a hull spanning [0, 1]")
 
 
+@lru_cache(maxsize=256)
 def _phases(m: int, cut: int) -> tuple[BlockPhase, ...]:
     return tuple(
         BlockPhase.CLASSICAL if l < cut else BlockPhase.PARAMAGNETIC for l in range(m)

@@ -18,6 +18,9 @@ of matrices (one at N = 10, sixteen at N = 8), in one numpy eigvalsh call,
 which releases the GIL (scipy's holds it), so pool threads run in parallel.
 Replica seeds derive from (seed, replica index) and stacks are cut by N and
 replica count only, so aggregates do not depend on scheduling or workers.
+
+scipy is imported inside the functions that build or solve a Hamiltonian,
+so importing tfglass for the closed-form limits never loads it.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse._sparsetools import csr_matvecs
-from scipy.special import ive, logsumexp
 
 from .errors import CapacityError, ValidationError
 from .model import (
@@ -42,6 +43,9 @@ from .model import (
 )
 from .nonhier import NonHierModel, indices_of, quantum_nonhier_pressure
 from .quantum import qgrem_pressure
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 EXACT_MAX_N = 14
 STOCH_MAX_N = 20
@@ -135,6 +139,8 @@ def sample_instance(spec, field: FieldSpec, N: int, seed) -> FiniteInstance:
 
 def sparse_hamiltonian(inst: FiniteInstance) -> scipy.sparse.csr_matrix:
     """2^N x 2^N Hamiltonian: energies on the diagonal, -b_j on single flips."""
+    import scipy.sparse
+
     dim = 1 << inst.N
     idx = np.arange(dim)
     rows = [idx]
@@ -175,6 +181,8 @@ def _spectra(insts) -> np.ndarray:
 
 def _pressure_from_levels(levels: np.ndarray, beta: float, N: int):
     """(1/N) ln sum_i exp(-beta levels_i) along the last axis, overflow-safe."""
+    from scipy.special import logsumexp
+
     return logsumexp(-beta * levels, axis=-1) / N
 
 
@@ -222,6 +230,8 @@ def _chebyshev_degree(a: float, budget: float) -> int:
     smallest D whose coefficient tail 2 sum_{k>D} ive(k, a), a bound on the
     sup error, is at most ``budget``, capped where the terms themselves fall
     below 1e-18 (plus 5), which sits under float64 rounding."""
+    from scipy.special import ive
+
     k_max = int(a + 40.0 * math.sqrt(a + 1.0) + 60)
     terms = ive(np.arange(k_max + 1), a)
     keep = np.nonzero(terms > 1e-18)[0]
@@ -239,6 +249,8 @@ def _chebyshev_moments(H2, z, steps):
     its output, so t_prev <- 2 H~ t - t_prev needs only a sign flip of t_prev
     and no temporary.
     """
+    from scipy.sparse._sparsetools import csr_matvecs
+
     def matvec_into(out, x):  # out += H2 @ x
         csr_matvecs(*H2.shape, x.shape[1], H2.indptr, H2.indices, H2.data, x.ravel(), out.ravel())
 
@@ -281,6 +293,8 @@ def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
     trace_stderr, sup_err, lo, log L) with the anchor lo = Gershgorin lower
     bound and L the diagonal sum below, plus the polynomial degree used.
     """
+    from scipy.special import ive, logsumexp
+
     if probes < 1:
         raise ValidationError("need at least one probe")
     if poly_degree is not None and poly_degree < 1:

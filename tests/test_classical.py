@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tfglass import (
+    ConcaveHull,
     DistributionSpec,
     DomainError,
+    classical,
     classical_pressure,
     concave_hull,
     crem_truncated_pressure,
@@ -89,6 +91,50 @@ class TestPartialPressures:
             else:
                 # slopes tied at float resolution: allow equal contributions
                 assert b <= a + 1e-12
+
+
+class TestTableMemo:
+    """partial_pressures builds one table per (hull, beta) and shares it."""
+
+    def test_repeated_calls_return_the_same_table(self):
+        assert partial_pressures(GREM, 1.2) is partial_pressures(GREM, 1.2)
+
+    def test_equal_hulls_give_equal_tables(self):
+        twin = concave_hull(DistributionSpec.from_jumps([0.7, 0.3], [0.5, 1.0]))
+        assert twin is not GREM and twin == GREM
+        classical._table.cache_clear()
+        cold = partial_pressures(twin, 1.2)
+        assert partial_pressures(GREM, 1.2) == cold
+
+    def test_hull_built_from_lists_is_hashable(self):
+        lists = ConcaveHull(*(list(getattr(GREM, f)) for f in ("support", "increments", "lengths", "slopes")))
+        assert lists == GREM and hash(lists) == hash(GREM)
+        assert partial_pressures(lists, 0.7) == partial_pressures(GREM, 0.7)
+
+    def test_real_beta_types_share_one_table(self):
+        classical._table.cache_clear()
+        tables = [partial_pressures(GREM, b) for b in (1, 1.0, np.float64(1.0), np.array(1.0))]
+        assert all(t is tables[0] for t in tables)
+        assert classical._table.cache_info().misses == 1
+        assert tables[0].beta == 1.0 and type(tables[0].beta) is float
+
+    def test_per_length_and_total_are_computed_once(self):
+        table = partial_pressures(GREM, 0.9)
+        assert table.per_length is table.per_length
+        assert table.total == float(sum(table.phi))
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bad_beta_raises_whatever_the_cache_holds(self, beta, warm):
+        classical._table.cache_clear()
+        if warm:  # the table of 1.0 and, for a finite beta, that of -beta are cached
+            partial_pressures(GREM, 1.0)
+            if math.isfinite(beta):
+                partial_pressures(GREM, -beta)
+        before = classical._table.cache_info()
+        with pytest.raises(DomainError):
+            partial_pressures(GREM, beta)
+        assert classical._table.cache_info() == before
 
 
 class TestClassicalPressure:

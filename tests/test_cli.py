@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tfglass
 from tfglass import DistributionSpec, concave_hull, qgrem_critical_fields, qgrem_pressure
 from tfglass.cli import main
 from tfglass.model import FieldSpec
@@ -229,7 +234,11 @@ class TestMalformedValues:
         ("empirical", {"samples": [0.5, 1.0]}),
         ("empirical", "not json"),
         ("discrete", [[1.0, 0.5, 2.0]]),
-    ], ids=["missing", "not-a-list", "not-json", "bad-atom"])
+        ("discrete", [[True, 1.0]]),
+        ("discrete", [["1", 1.0]]),
+        ("empirical", [True]),
+    ], ids=["missing", "not-a-list", "not-json", "bad-atom", "boolean-value", "string-value",
+            "boolean-sample"])
     def test_bad_field_file_is_validation_error(self, models, tmp_path, capsys, law, content):
         path = tmp_path / "field.json"
         if content is not None:
@@ -247,12 +256,29 @@ class TestMalformedValues:
         {"n": 1, "L": [1.0], "weights": {"1": None}},
         {"n": 1.5, "L": [1.0], "weights": {"1": 1.0}},
         {"n": True, "L": [1.0], "weights": {"1": 1.0}},
+        {"n": 1, "L": [1.0], "weights": {"1": True}},
+        {"n": 1, "L": [1.0], "weights": {"1": "1.0"}},
+        {"n": 1, "L": "1", "weights": {"1": 1.0}},
+        {"n": 1, "L": [True], "weights": {"1": 1.0}},
     ], ids=["repeated-singleton", "repeated-pair", "weights-list", "weight-string", "weight-null",
-            "fractional-n", "boolean-n"])
+            "fractional-n", "boolean-n", "boolean-weight", "numeric-string-weight", "string-lengths",
+            "boolean-length"])
     def test_malformed_nonhier_model_is_validation_error(self, tmp_path, capsys, doc):
         path = tmp_path / "nh.json"
         path.write_text(json.dumps(doc))
         assert main(["nonhier", "--model", str(path), "--beta", "1.2", "--gamma", "1.0", "--out", "-"]) == 2
+        assert last_error(capsys)["error"] == "validation"
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "step", "x": ["1"], "A": [True]},
+        {"kind": "step", "x": [1.0], "A": [True]},
+        {"kind": "step", "x": "1", "A": [1.0]},
+        {"kind": "step", "x": [1.0], "jumps": ["1.0"]},
+    ], ids=["string-breakpoint", "boolean-value", "string-breakpoints", "string-jump"])
+    def test_loose_profile_numbers_are_validation_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "grem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pressure", "--model", str(path), "--beta", "1.2", "--gamma", "1.0", "--out", "-"]) == 2
         assert last_error(capsys)["error"] == "validation"
 
     def test_non_boolean_normalized_flag_is_validation_error(self, tmp_path, capsys):
@@ -311,3 +337,29 @@ class TestManifest:
         monkeypatch.chdir(tmp_path)  # the model path is part of the configuration
         assert main(argv + ["--out", "out.csv"]) == 0
         assert (tmp_path / "out.csv").read_text().splitlines()[0] == line
+
+
+def test_limit_commands_do_not_load_scipy(tmp_path):
+    """scipy is loaded by the finite-size paths only: importing tfglass and
+    running the README's pressure, phase-diagram and nonhier examples leaves
+    scipy.sparse and scipy.special unimported, while tfglass.verify is."""
+    (tmp_path / "grem.json").write_text(json.dumps({"kind": "step", "x": [0.5, 1.0], "jumps": [0.7, 0.3]}))
+    (tmp_path / "nonhier.json").write_text(json.dumps(
+        {"n": 2, "L": [0.5, 0.5], "weights": {"1": 0.2, "2": 0.3, "1,2": 0.5}}))
+    script = """
+import json, sys
+import tfglass
+from tfglass.cli import main
+assert main(["pressure", "--model", "grem.json", "--beta", "0.5:2.5:21", "--gamma", "0:2:41", "--out", "p.csv"]) == 0
+assert main(["phase-diagram", "--model", "grem.json", "--beta", "0.5:2.5:21", "--gamma", "0:2:201",
+             "--out", "grid.csv"]) == 0
+assert main(["nonhier", "--model", "nonhier.json", "--beta", "0.5:2.5:5", "--gamma", "0:2:5", "--out", "nh.csv"]) == 0
+print(json.dumps({name: name in sys.modules for name in ("scipy.sparse", "scipy.special", "tfglass.verify")}))
+"""
+    src = str(Path(tfglass.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == {"scipy.sparse": False, "scipy.special": False, "tfglass.verify": True}

@@ -22,6 +22,7 @@ from tfglass import (
     qgrem_pressure,
     transition_scan,
 )
+from tfglass import classical, quantum
 from tfglass.classical import partial_pressures
 from tfglass.model import LN2, ln_2cosh
 
@@ -361,3 +362,25 @@ class TestTransitionScan:
 def test_non_finite_argument_rejected(call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+def test_warm_cache_matches_cold_bitwise():
+    """One segment table serves every field of a beta-row; every value, cut
+    and transition is the one a freshly built table gives (the hulls and the
+    grid of the limits benchmark)."""
+    hulls = [(GREM, {}), (GREM3, {}), (smooth_hull(50), {"first_order_jump_tol": 0.05, "cluster_gap": 0.3})]
+    betas = np.linspace(0.5, 2.5, 21)
+    gammas = np.linspace(0.0, 2.0, 201)
+
+    def cold(fn, *args, **kwargs):
+        classical._table.cache_clear()
+        quantum._phases.cache_clear()
+        return fn(*args, **kwargs)
+
+    for hull, scan_kw in hulls:
+        for beta in betas:
+            for gamma in gammas:
+                field = FieldSpec.constant(gamma)
+                assert qgrem_pressure(hull, beta, field) == cold(qgrem_pressure, hull, beta, field)
+                assert magnetization(hull, beta, gamma) == cold(magnetization, hull, beta, gamma)
+            assert transition_scan(hull, beta, **scan_kw) == cold(transition_scan, hull, beta, **scan_kw)
