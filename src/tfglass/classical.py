@@ -80,25 +80,17 @@ def classical_pressure(hull: ConcaveHull, beta: float) -> float:
 
 
 def freezing_boundary(hull: ConcaveHull, beta: float) -> float:
-    """Largest kink up to which the envelope slope exceeds 2 ln2 / beta^2.
+    """Largest kink up to which every segment is frozen: beta > beta_l.
 
     This is where the frozen (condensed) part of the hierarchy ends: 0 when no
-    segment is frozen, span when all are.  At exact slope equality a segment
-    does not qualify (the defining inequality is strict), which keeps the
-    truncated pressure continuous in beta.  beta = 0 returns 0 by convention.
+    segment is frozen, span when all are.  It reads the ``frozen`` flags of
+    ``partial_pressures``, which form a prefix because beta_l grows with l.
+    At beta = beta_l a segment is not frozen (the defining inequality is
+    strict), which keeps the truncated pressure continuous in beta; beta = 0
+    freezes nothing.
     """
-    if not 0.0 <= beta < math.inf:
-        raise DomainError("beta must be finite and >= 0")
-    if beta == 0.0:
-        return 0.0
-    threshold = _TWO_LN2 / (beta * beta)
-    boundary = 0.0
-    for y_l, g_l in zip(hull.support, hull.slopes):
-        if g_l > threshold:
-            boundary = y_l
-        else:
-            break
-    return boundary
+    k = partial_pressures(hull, beta).frozen.count(True)
+    return hull.support[k - 1] if k else 0.0
 
 
 def crem_truncated_pressure(hull: ConcaveHull, beta: float, z: float) -> float:

@@ -138,7 +138,8 @@ class ConcaveHull:
 
     ``support`` holds y_1 < ... < y_m (y_0 = 0 implicit); slopes are strictly
     decreasing because collinear breakpoints are merged into one segment.
-    For reduced models the domain may end before 1: span = y_m.
+    Each length is the kink spacing and slope * length the increment, to
+    within 1e-12.  For reduced models the domain may end before 1: span = y_m.
     """
 
     support: tuple[float, ...]
@@ -160,6 +161,9 @@ class ConcaveHull:
             raise ValidationError("increments must be non-negative")
         if any(b >= a for a, b in zip(self.slopes, self.slopes[1:])):
             raise ValidationError("hull slopes must be strictly decreasing")
+        spacing = zip(self.lengths, self.support, (0.0,) + self.support, self.slopes, self.increments)
+        if any(abs(L - (y - y0)) > _SUM_TOL or abs(g * L - a) > _SUM_TOL for L, y, y0, g, a in spacing):
+            raise ValidationError("hull lengths must be the kink spacing, and slope * length the increment")
 
     @property
     def m(self) -> int:
@@ -185,39 +189,25 @@ class ConcaveHull:
         return acc
 
 
-def _upper_envelope(points):
-    """Vertices of the upper concave envelope, scanning left to right.
+def hull_from_points(points) -> ConcaveHull:
+    """Concave envelope of {(0,0)} followed by the given (x, A(x)) breakpoints.
 
-    Collinear interior points are dropped, so consecutive slopes come out
-    strictly decreasing.
+    One left-to-right stack scan over points with increasing x.  The top
+    vertex is popped while the cross product says left turn or collinear, or
+    while the divided slopes through it fail to strictly decrease (nearly
+    collinear points can tie at float resolution).  So a collinear run gives
+    one segment, and the slopes come out strictly decreasing.
     """
-    hull = []
-    for p in points:
-        while len(hull) >= 2:
-            (x0, v0), (x1, v1) = hull[-2], hull[-1]
-            # left turn or collinear: middle vertex is not extreme
-            if (x1 - x0) * (p[1] - v0) - (v1 - v0) * (p[0] - x0) >= 0.0:
-                hull.pop()
+    verts = [(0.0, 0.0)]
+    for x2, v2 in ((float(x), float(v)) for x, v in points):
+        while len(verts) >= 2:
+            (x0, v0), (x1, v1) = verts[-2], verts[-1]
+            if ((x1 - x0) * (v2 - v0) - (v1 - v0) * (x2 - x0) >= 0.0
+                    or (v1 - v0) / (x1 - x0) <= (v2 - v1) / (x2 - x1)):
+                verts.pop()
             else:
                 break
-        hull.append(p)
-    return hull
-
-
-def hull_from_points(points) -> ConcaveHull:
-    """Concave envelope of {(0,0)} followed by the given (x, A(x)) breakpoints."""
-    verts = _upper_envelope([(0.0, 0.0)] + [(float(x), float(v)) for x, v in points])
-    # The cross-product test pops exactly collinear vertices, but for nearly
-    # collinear points the divided slopes can still tie at float resolution;
-    # merge those so the slope sequence is strictly decreasing.
-    i = 1
-    while i < len(verts) - 1:
-        (x0, v0), (x1, v1), (x2, v2) = verts[i - 1], verts[i], verts[i + 1]
-        if (v1 - v0) / (x1 - x0) <= (v2 - v1) / (x2 - x1):
-            del verts[i]
-            i = max(1, i - 1)
-        else:
-            i += 1
+        verts.append((x2, v2))
     support, increments, lengths, slopes = [], [], [], []
     for (x0, v0), (x1, v1) in zip(verts, verts[1:]):
         support.append(x1)

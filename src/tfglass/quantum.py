@@ -12,6 +12,11 @@ Because the truncated pressure is piecewise linear in z between hull kinks,
 the supremum is always attained on the finite kink set and both formulas are
 evaluated exactly, with no numerical search.
 
+Since phi_l / L_l strictly decreases in l, the maximizer is a threshold: K
+counts the leading segments with phi_l > L_l p, and a tie goes paramagnetic
+(at beta = 0 every segment ties, so K = 0).  The pressure, the closed form
+and the magnetization all take their cut from this one rule, ``_cut``.
+
 For a constant field of strength gamma the cut condition for block l reads
 p(beta * gamma) >= phi_l / L_l, giving the critical fields
 
@@ -31,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .classical import classical_pressure, crem_truncated_pressure, partial_pressures
+from .classical import PartialPressureTable, crem_truncated_pressure, partial_pressures
 from .errors import DomainError, ValidationError
 from .model import LN2, ConcaveHull, FieldSpec, ln_2cosh, paramagnetic_pressure
 
@@ -82,23 +87,36 @@ def _phases(m: int, cut: int) -> tuple[BlockPhase, ...]:
     )
 
 
+def _cut(hull: ConcaveHull, table: PartialPressureTable, p: float) -> tuple[int, float]:
+    """The optimal cut K and its kink y_K (y_0 = 0) at paramagnetic level p.
+
+    K is the number of leading segments with phi_l > L_l p: the per-length
+    contributions strictly decrease, so these form a prefix, and a segment
+    that ties with the paramagnet goes paramagnetic.
+    """
+    k = 0
+    for phi_l, L_l in zip(table.phi, table.lengths):
+        if not phi_l > L_l * p:
+            break
+        k += 1
+    return k, hull.support[k - 1] if k else 0.0
+
+
 def qgrem_pressure(hull: ConcaveHull, beta: float, field: FieldSpec) -> QuantumPressureResult:
     """Step-profile quantum pressure: best cut over hull kinks.
 
-    K = 0 (every block paramagnetic) is a legitimate cut and wins for strong
-    fields; ties are resolved toward the smallest K.
+    The cut K comes from ``_cut``: K = 0 (every block paramagnetic) wins for
+    strong fields and at beta = 0, and a tie goes toward the smaller K.  The
+    value is sum_{l<=K} phi_l + (1 - y_K) p.
     """
     _require_full_span(hull)
     p = paramagnetic_pressure(field, beta)
     table = partial_pressures(hull, beta)
-    best_val, best_k = p, 0  # K = 0: empty classical part
+    k, y_k = _cut(hull, table, p)
     acc = 0.0
-    for k, (phi_l, y_l) in enumerate(zip(table.phi, hull.support), start=1):
+    for phi_l in table.phi[:k]:
         acc += phi_l
-        val = acc + (1.0 - y_l) * p
-        if val > best_val:
-            best_val, best_k = val, k
-    return QuantumPressureResult(best_val, best_k, _phases(hull.m, best_k))
+    return QuantumPressureResult(acc + (1.0 - y_k) * p, k, _phases(hull.m, k))
 
 
 def _acosh_exp(x: float) -> float:
@@ -135,57 +153,35 @@ def qcrem_pressure(hull: ConcaveHull, beta: float, field: FieldSpec) -> QuantumP
     return QuantumPressureResult(res.value, cut, res.block_phases)
 
 
-def _cut_point(hull: ConcaveHull, per_length: tuple[float, ...], p: float) -> float:
-    """Generalized inverse of the truncated pressure's z-derivative at level p.
-
-    The derivative takes the value phi_l / L_l on segment l and decreases.
-    Returns the left endpoint of the first segment whose derivative is <= p
-    (leftmost point of a flat stretch, kink position at a jump), the full span
-    when every segment stays above p.
-    """
-    for i, d_l in enumerate(per_length):
-        if d_l <= p:
-            return 0.0 if i == 0 else hull.support[i - 1]
-    return hull.span
-
-
 def qcrem_closed_form(hull: ConcaveHull, beta: float, gamma: float) -> float:
-    """Constant-field pressure through the derivative inverse, no maximization.
+    """Constant-field pressure as the truncated pressure at the optimal cut.
 
-    Three regimes split by the derivative's boundary values s (at z=1) and
-    t (at z=0): fully classical below s, fully paramagnetic above t, and a
-    mixed cut g in between.
+    The cut point g = y_K comes from the same rule as ``qgrem_pressure``; the
+    value is crem_truncated_pressure(g) + (1 - g) p, a second value formula.
+    g = 1 is the fully classical phase, g = 0 the paramagnet p.
     """
     _require_full_span(hull)
     if not 0.0 <= gamma < math.inf:
         raise DomainError("gamma must be finite and >= 0")
     p = float(ln_2cosh(beta * gamma))
-    per_length = partial_pressures(hull, beta).per_length
-    s, t = per_length[-1], per_length[0]
-    if p <= s:
-        return classical_pressure(hull, beta)
-    if p >= t:
-        return p
-    g = _cut_point(hull, per_length, p)
+    _, g = _cut(hull, partial_pressures(hull, beta), p)
     return crem_truncated_pressure(hull, beta, g) + (1.0 - g) * p
 
 
 def magnetization(hull: ConcaveHull, beta: float, gamma: float) -> float:
     """Specific transversal magnetization m_z = (1 - g) tanh(beta gamma).
 
-    g is the cut point at paramagnetic level p(beta gamma): g = 1 gives the
-    classical phase (m_z = 0), g = 0 the saturated paramagnet tanh(beta gamma).
-    At a critical field the paramagnetic side is taken, matching the >=
-    convention of the indicator form of the pressure.
+    g = y_K is the cut point at paramagnetic level p(beta gamma), with K the
+    cut of ``qgrem_pressure``: g = 1 gives the classical phase (m_z = 0), g = 0
+    the saturated paramagnet tanh(beta gamma).  At a critical field the
+    paramagnetic side is taken, as in the pressure's cut.
     """
     _require_full_span(hull)
     if not 0.0 < beta < math.inf:
         raise DomainError("magnetization needs a finite beta > 0")
     if not 0.0 <= gamma < math.inf:
         raise DomainError("gamma must be finite and >= 0")
-    p = float(ln_2cosh(beta * gamma))
-    per_length = partial_pressures(hull, beta).per_length
-    g = _cut_point(hull, per_length, p)
+    _, g = _cut(hull, partial_pressures(hull, beta), float(ln_2cosh(beta * gamma)))
     return (1.0 - g) * math.tanh(beta * gamma)
 
 

@@ -193,6 +193,18 @@ class TestFreezingBoundary:
             xs = [freezing_boundary(hull, b) for b in np.linspace(0.1, 4.0, 25)]
             assert all(b >= a for a, b in zip(xs, xs[1:]))
 
+    def test_freezing_betas_match_the_table(self, rng):
+        # at beta = beta_l, as the table computes it, the boundary is the last
+        # kink the table marks frozen
+        for _ in range(100):
+            hull = concave_hull(random_spec(rng, max_blocks=30))
+            for beta_l in partial_pressures(hull, 1.0).freeze_beta:
+                if math.isfinite(beta_l):
+                    frozen = partial_pressures(hull, beta_l).frozen
+                    last = max((l for l, f in enumerate(frozen) if f), default=None)
+                    want = 0.0 if last is None else hull.support[last]
+                    assert freezing_boundary(hull, beta_l) == want
+
 
 class TestTruncatedPressure:
     def test_zero_truncation_is_zero(self, rng):

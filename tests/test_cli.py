@@ -172,6 +172,39 @@ class TestPhaseDiagram:
         assert all(b >= a - 1e-12 for a, b in zip(mzs, mzs[1:]))
 
 
+class TestTies:
+    def test_beta_zero_rows_are_paramagnetic(self, tmp_path):
+        # the 50-segment profile A(x) = 1.5 x - 0.5 x^2: every segment ties at beta = 0
+        xs = [k / 50 for k in range(1, 51)]
+        model = tmp_path / "smooth50.json"
+        model.write_text(json.dumps({"kind": "piecewise_linear", "x": xs,
+                                     "A": [1.5 * x - 0.5 * x * x for x in xs]}))
+        out = tmp_path / "p.csv"
+        assert main(["pressure", "--model", str(model), "--beta", "0", "--gamma", "0:2:41",
+                     "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 41
+        for row in rows:
+            assert row[4] == "0" and set(row[5]) == {"P"}
+            assert row[3] == row[2]
+
+    def test_collinear_breakpoints_give_one_line_per_segment(self, tmp_path):
+        # the first five breakpoints are collinear: the envelope has slopes 2, 1, 0
+        model = tmp_path / "collinear.json"
+        model.write_text(json.dumps({"kind": "piecewise_linear", "x": [1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6, 1.0],
+                                     "A": [1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0, 1.0]}))
+        out = tmp_path / "grid.csv"
+        assert main(["phase-diagram", "--model", str(model), "--beta", "1.2", "--gamma", "0:2:5",
+                     "--out", str(out)]) == 0
+        _, rows = read_rows(tmp_path / "grid-transitions.csv")
+        magnetic = [r for r in rows if r[0] == "magnetic"]
+        glass = [r for r in rows if r[0] == "glass"]
+        assert len(magnetic) == 2 and len(glass) == 2
+        run = [r for r in magnetic if abs(float(r[3]) - 1.1229480166519983) < 1e-9]
+        assert len(run) == 1 and float(run[0][5]) == pytest.approx(0.5823, abs=1e-4)
+        assert abs(float(glass[0][2]) - float(glass[1][2])) > 0.1
+
+
 class TestNonHier:
     def test_columns_and_greedy_agreement(self, models, tmp_path):
         out = tmp_path / "nh.csv"

@@ -17,7 +17,7 @@ from tfglass import (
     right_derivative,
     sample_weights,
 )
-from tfglass.model import ln_2cosh
+from tfglass.model import hull_from_points, ln_2cosh
 
 from conftest import random_spec, step_specs
 from oracles import PARA_B12_G1, brute_force_hull, mp_gaussian_paramagnetic
@@ -108,6 +108,29 @@ class TestConcaveHull:
     def test_validation(self):
         with pytest.raises(ValidationError):
             ConcaveHull((0.5, 1.0), (0.2, 0.8), (0.5, 0.5), (0.4, 1.6))  # increasing slopes
+
+    @pytest.mark.parametrize("fields", [
+        ((0.5, 1.0), (0.7, 0.3), (0.2, 0.2), (3.5, 1.5)),  # lengths are not the kink spacing
+        ((0.5, 1.0), (0.7, 0.3), (0.5, 0.5), (1.4, 0.5)),  # slope * length is not the increment
+    ])
+    def test_inconsistent_fields_rejected(self, fields):
+        with pytest.raises(ValidationError):
+            ConcaveHull(*fields)
+
+    # breakpoints with a collinear run, and the envelope with one segment per run;
+    # the second set's values carry the rounding of a computed profile
+    @pytest.mark.parametrize("xs, values, support, slopes", [
+        ([1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6, 1.0], [1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0, 1.0],
+         (1 / 6, 5 / 6, 1.0), (2.0, 1.0, 0.0)),
+        ([0.025, 0.05, 0.075, 0.25, 0.375, 0.475, 0.65, 0.75, 0.775, 1.0],
+         [0.07500000000000001, 0.15000000000000002, 0.17500000000000002, 0.35, 0.475, 0.575,
+          0.75, 0.75, 0.75, 0.75],
+         (0.05, 0.65, 1.0), (3.0, 1.0, 0.0)),
+    ])
+    def test_collinear_run_is_one_segment(self, xs, values, support, slopes):
+        hull = hull_from_points(zip(xs, values))
+        assert hull.support == pytest.approx(support, abs=1e-12)
+        assert hull.slopes == pytest.approx(slopes, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", range(4))

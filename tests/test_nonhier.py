@@ -336,3 +336,17 @@ class TestGreedyChainTables:
             model = NonHierModel(n, tuple(float(l) for l in lengths), {(1 << n) - 1: 1.0})
             want = np.array([model.subset_length(k) for k in range(1 << n)])
             assert np.array_equal(subset_sums(model.block_lengths), want)
+
+
+@pytest.mark.parametrize("law", ["constant", "gaussian"])
+def test_beta_zero_leaves_every_block_paramagnetic(rng, law):
+    # every segment of the greedy hull ties with the paramagnet at beta = 0
+    for _ in range(100):
+        model = random_nonhier(rng)
+        if law == "constant":
+            field = FieldSpec.constant(float(rng.uniform(0.0, 3.0)))
+        else:
+            field = FieldSpec.gaussian(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 1.5)))
+        value, d_mask = quantum_nonhier_pressure(model, 0.0, field)
+        assert d_mask == 0
+        assert value == paramagnetic_pressure(field, 0.0)

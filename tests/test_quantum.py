@@ -112,6 +112,36 @@ class TestQgremPressure:
             assert res.argmax == want_k
 
 
+class TestOneCutRule:
+    """The cut K decides the pressure and the magnetization alike; ties go
+    paramagnetic."""
+
+    @pytest.mark.parametrize("law", ["constant", "gaussian"])
+    def test_beta_zero_is_paramagnetic(self, rng, law):
+        # every segment ties at beta = 0: phi_l = L_l ln 2 = L_l p
+        for _ in range(200):
+            hull = concave_hull(random_spec(rng, max_blocks=30))
+            if law == "constant":
+                field = FieldSpec.constant(float(rng.uniform(0.0, 3.0)))
+            else:
+                field = FieldSpec.gaussian(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 1.5)))
+            res = qgrem_pressure(hull, 0.0, field)
+            assert res.argmax == 0
+            assert set(res.block_phases) == {BlockPhase.PARAMAGNETIC}
+            assert res.value == paramagnetic_pressure(field, 0.0)
+
+    def test_magnetization_takes_the_pressure_cut(self, rng):
+        for _ in range(60):
+            hull = concave_hull(random_spec(rng, max_blocks=30))
+            for beta in rng.uniform(0.1, 4.0, 3):
+                beta = float(beta)
+                gammas = [*qgrem_critical_fields(hull, beta), *map(float, rng.uniform(0.0, 3.0, 5))]
+                for gamma in gammas:
+                    k = qgrem_pressure(hull, beta, FieldSpec.constant(gamma)).argmax
+                    y_k = hull.support[k - 1] if k else 0.0
+                    assert magnetization(hull, beta, gamma) == (1.0 - y_k) * math.tanh(beta * gamma)
+
+
 class TestCriticalFields:
     def test_rem_worked_value(self):
         (gc,) = qgrem_critical_fields(REM, 1.0)
