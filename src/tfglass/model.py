@@ -344,19 +344,23 @@ def _gaussian_ln2cosh_mean(mu: float, sigma: float) -> float:
 
 
 def paramagnetic_pressure(field: FieldSpec, beta: float) -> float:
-    """E[ln 2 cosh(beta * b)]: the pressure of the free quantum paramagnet."""
+    """E[ln 2 cosh(beta * b)]: the pressure of the free quantum paramagnet.
+
+    Atoms and samples average ln 2 cosh(beta b) - ln 2 and add ln 2 once, so
+    beta = 0 gives ln 2 exactly however the probabilities or the mean round.
+    """
     if not 0.0 <= beta < math.inf:
         raise DomainError("beta must be finite and >= 0")
     if field.law is FieldLaw.CONSTANT:
         return float(ln_2cosh(beta * field.gamma))
     if field.law is FieldLaw.DISCRETE:
-        return float(sum(p * ln_2cosh(beta * v) for v, p in field.atoms))
+        return LN2 + float(sum(p * (ln_2cosh(beta * v) - LN2) for v, p in field.atoms))
     if field.law is FieldLaw.GAUSSIAN:
         mu, sigma = beta * field.mean, beta * field.stddev
         if sigma == 0.0:
             return float(ln_2cosh(mu))
         return _gaussian_ln2cosh_mean(mu, sigma)
-    return float(np.mean(ln_2cosh(beta * np.asarray(field.samples))))
+    return LN2 + float(np.mean(ln_2cosh(beta * np.asarray(field.samples)) - LN2))
 
 
 def sample_weights(field: FieldSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,11 +7,10 @@ Hamiltonian on the configuration space is diagonal in the energies with
 -b_j connecting configurations that differ by one spin flip.
 
 Two evaluation paths coexist.  The exact path diagonalizes densely and is
-gated at N <= 14.  The stochastic path estimates Tr exp(-beta H) with
-Rademacher probes and a Chebyshev expansion of the exponential on the
-Gershgorin interval, reporting a probe-variance error bar plus the polynomial
-truncation error; it only needs matrix-vector products and is gated at
-N <= 20.  Convergence and concentration drivers pick the path by dimension.
+gated at N <= 14.  The stochastic path needs only matrix-vector products and
+is gated at N <= 20: per Rademacher probe, Lanczos quadrature brackets
+z^T exp(-beta H) z between a Gauss and a Gauss-Radau rule, to TRUNCATION_EPS
+per spin.  Convergence and concentration drivers pick the path by dimension.
 
 The exact path solves a stack of replicas per pool task, at most STACK_BYTES
 of matrices (one at N = 10, sixteen at N = 8), in one numpy eigvalsh call,
@@ -50,8 +49,8 @@ if TYPE_CHECKING:
 EXACT_MAX_N = 14
 STOCH_MAX_N = 20
 STACK_BYTES = 8 << 20  # bytes of dense Hamiltonians per eigensolve call: one N = 10 matrix
-TILE_COLS = 32  # probe columns per Chebyshev tile: 1 MB per vector block at N = 12
-TRUNCATION_EPS = 1e-6  # per spin: guaranteed Chebyshev truncation term of the default degree
+TILE_COLS = 32  # probe columns per Lanczos tile: 1 MB per vector block at N = 12
+TRUNCATION_EPS = 1e-6  # per spin: width of each probe's Gauss/Gauss-Radau bracket at its last step
 CONCENTRATION_T_VALUES = (1.0, 2.0, 3.0)  # deviations t*beta/sqrt(N) tested against 2 exp(-t^2/4)
 
 
@@ -222,83 +221,93 @@ class StochasticPressure:
     error: float
     converged: bool
     probes: int
-    degree: int
+    degree: int  # the largest Lanczos step count: matvecs per probe
 
 
-def _chebyshev_degree(a: float, budget: float) -> int:
-    """Degree of the Chebyshev series of exp(-a (x + 1)) on [-1, 1]: the
-    smallest D whose coefficient tail 2 sum_{k>D} ive(k, a), a bound on the
-    sup error, is at most ``budget``, capped where the terms themselves fall
-    below 1e-18 (plus 5), which sits under float64 rounding."""
-    from scipy.special import ive
+def _quadrature_rules(alpha, off, node, lo, betas):
+    """ln of the Gauss and Gauss-Radau rules for e_1^T exp(-beta (T - lo)) e_1.
 
-    k_max = int(a + 40.0 * math.sqrt(a + 1.0) + 60)
-    terms = ive(np.arange(k_max + 1), a)
-    keep = np.nonzero(terms > 1e-18)[0]
-    cap = int(keep[-1]) + 5 if keep.size else 8
-    tails = 2.0 * np.cumsum(terms[::-1])[::-1]  # tails[k] = 2 sum_{j>=k} ive(j, a)
-    fits = np.nonzero(tails[1:] <= budget)[0]
-    return min(cap, max(1, int(fits[0]))) if fits.size else cap
+    Row c of ``alpha`` and ``off`` holds column c's Lanczos coefficients after
+    k steps: a_1 .. a_k and b_1 .. b_k, b_k coupling T_k to the next step.
+    The Radau rule extends T_k by a row whose diagonal
+    a + b_k^2 e_k^T (T_k - a)^{-1} e_k puts an eigenvalue at the node a
+    (Golub and Meurant, Matrices, Moments and Quadrature, 2010, ch. 6).
+    """
+    m, k = alpha.shape
+    i = np.arange(k)
+    T = np.zeros((m, k + 1, k + 1))
+    T[:, i, i] = alpha
+    T[:, i + 1, i] = T[:, i, i + 1] = off
+    theta, V = np.linalg.eigh(T[:, :k, :k])
+    T[:, k, k] = node + off[:, -1] ** 2 * np.sum(V[:, -1] ** 2 / (theta - node), axis=-1)
+    theta_r, V_r = np.linalg.eigh(T)
+    exponent = -np.asarray(betas, dtype=float)[:, None, None]
+
+    def log_rule(nodes, weights):  # ln sum_i w_i exp(-beta (nodes_i - lo)), overflow-safe
+        x = np.where(weights > 0.0, exponent * (nodes - lo), -np.inf)
+        top = x.max(axis=-1)
+        return top + np.log(np.einsum("bmk,mk->bm", np.exp(x - top[..., None]), weights))
+
+    return log_rule(theta, V[:, 0] ** 2), log_rule(theta_r, V_r[:, 0] ** 2)
 
 
-def _chebyshev_moments(H2, z, steps):
-    """Moments mu_0 .. mu_2steps of every probe column of z from ``steps``
-    sparse matvecs, with H2 = 2 H~ in CSR form.
+def _lanczos_rules(H, q, node, lo, betas, budget, first_check):
+    """ln G and ln R, shape (len(betas), columns), of every probe column of q.
 
-    z must be C-contiguous and is overwritten.  The matvec accumulates into
-    its output, so t_prev <- 2 H~ t - t_prev needs only a sign flip of t_prev
-    and no temporary.
+    One Lanczos recurrence per column, one in-place sparse matvec per step
+    (q is overwritten), no reorthogonalization: the Gauss rule stays accurate
+    when the basis loses orthogonality (Golub and Strakos, Numer. Algorithms
+    8, 241 (1994)).  A column stops at the first step from ``first_check`` on
+    where ln R - ln G <= ``budget`` for every beta, or at a breakdown
+    (b_k = 0), where its Gauss rule is exact and equals the Radau rule.
     """
     from scipy.sparse._sparsetools import csr_matvecs
-
-    def matvec_into(out, x):  # out += H2 @ x
-        csr_matvecs(*H2.shape, x.shape[1], H2.indptr, H2.indices, H2.data, x.ravel(), out.ravel())
 
     def dots(x, y):  # column-wise inner products
         return np.einsum("ij,ij->j", x, y)
 
-    mu = np.empty((2 * steps + 1, z.shape[1]))
-    t_prev, t_cur = z, np.zeros_like(z)
-    matvec_into(t_cur, z)
-    t_cur *= 0.5  # t_1 = H~ z
-    mu[0] = dots(z, z)
-    mu[1] = dots(z, t_cur)
-    mu[2] = 2.0 * dots(t_cur, t_cur) - mu[0]
-    for k in range(2, steps + 1):
-        np.negative(t_prev, out=t_prev)
-        matvec_into(t_prev, t_cur)
-        t_prev, t_cur = t_cur, t_prev  # t_cur = t_k
-        mu[2 * k - 1] = 2.0 * dots(t_cur, t_prev) - mu[1]
-        mu[2 * k] = 2.0 * dots(t_cur, t_cur) - mu[0]
-    return mu
+    dim, cols = q.shape
+    log_norm = np.log(dots(q, q))
+    q /= np.exp(0.5 * log_norm)
+    q_prev, b = np.zeros_like(q), np.zeros(cols)
+    alphas, offs = [], []
+    log_g, log_r = np.empty((len(betas), cols)), np.empty((len(betas), cols))
+    active = np.ones(cols, dtype=bool)
+    for step in range(1, dim + 1):  # in exact arithmetic the Krylov space is full by step dim
+        q_prev *= -b
+        csr_matvecs(dim, dim, cols, H.indptr, H.indices, H.data, q.ravel(), q_prev.ravel())
+        a = dots(q, q_prev)
+        q_prev -= a * q
+        b = np.sqrt(dots(q_prev, q_prev))
+        alphas.append(a)
+        offs.append(b)
+        if step >= first_check or not np.all(b[active] > 0.0):
+            g, r = _quadrature_rules(np.array(alphas).T[active], np.array(offs).T[active], node, lo, betas)
+            log_g[:, active], log_r[:, active] = g, r
+            active[np.flatnonzero(active)[np.all(r - g <= budget, axis=0)]] = False
+            if not active.any():
+                break
+        q_prev *= 1.0 / np.where(b > 0.0, b, 1.0)
+        q, q_prev = q_prev, q
+    return log_g + log_norm, log_r + log_norm, step
 
 
-def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
-    """Hutchinson estimates of Tr exp(-beta (H - lo)) for several betas.
+def _stochastic_traces(inst, betas, probes, seed):
+    """Bracketed Hutchinson samples of Tr exp(-beta (H - lo)) for several betas.
 
-    The kernel polynomial method (Weisse, Wellein, Alvermann and Fehske,
-    Rev. Mod. Phys. 78, 275 (2006)): with H~ the Hamiltonian scaled onto
-    [-1, 1] and t_k = T_k(H~) z, each Rademacher probe z yields its Chebyshev
-    moments mu_k = z^T t_k from the doubling identities
-
-        mu_2k = 2 <t_k, t_k> - mu_0,    mu_2k+1 = 2 <t_k+1, t_k> - mu_1,
-
-    so degree D costs ceil(D/2) sparse matvecs.  The moments do not depend on
-    beta: the trace sample of every beta is its coefficient vector times the
-    same moment matrix.  Probes are drawn in blocks capped at 2^24 entries
-    (the draws, hence the probes of a given seed, do not depend on the
-    tiling) and walked in tiles of TILE_COLS columns, so the recurrence runs
-    in place on cache-sized arrays.  The default degree is the largest of
-    the betas' budget degrees (below).  Returns per-beta (trace_mean,
-    trace_stderr, sup_err, lo, log L) with the anchor lo = Gershgorin lower
-    bound and L the diagonal sum below, plus the polynomial degree used.
+    Stochastic Lanczos quadrature (Ubaru, Chen and Saad, SIAM J. Matrix Anal.
+    Appl. 38, 1075 (2017)).  exp(-beta (x - lo)) has positive even and
+    negative odd derivatives, so each probe's Gauss rule is a lower bound and
+    its Gauss-Radau rule with a node at or below the spectrum an upper bound.
+    The node is the Gershgorin bound lo, lowered by 1e-10 of the spectral
+    scale so that rounding cannot put a Ritz value on it (lo is the ground
+    state when U or the field is zero).  T_k does not depend on beta: one run
+    per probe serves every beta.  Probes are drawn in blocks capped at 2^24
+    entries and walked in tiles of TILE_COLS columns.  Returns lo, the
+    (len(betas), probes) arrays ln G and ln R, and the largest step count.
     """
-    from scipy.special import ive, logsumexp
-
     if probes < 1:
         raise ValidationError("need at least one probe")
-    if poly_degree is not None and poly_degree < 1:
-        raise ValidationError("polynomial degree must be >= 1")
     if inst.N > STOCH_MAX_N:
         raise CapacityError(f"stochastic path gated at N <= {STOCH_MAX_N}")
     rng = _rng(seed)
@@ -306,84 +315,55 @@ def _stochastic_traces(inst, betas, probes, seed, poly_degree=None):
     b_abs = float(np.abs(inst.field_weights).sum())
     lo = float(inst.potential.min()) - b_abs
     hi = float(inst.potential.max()) + b_abs
-    # Peierls-Bogoliubov: Tr exp(-beta (H - lo)) >= L = sum_sigma exp(-beta (U(sigma) - lo))
-    log_ls = [float(logsumexp(-beta * (inst.potential - lo))) for beta in betas]
     if hi - lo < 1e-12:
-        # Zero-width spectrum: H = lo * identity, trace is exact.
-        return [(float(dim), 0.0, 0.0, lo, log_l) for log_l in log_ls], 0
-    half = 0.5 * (hi - lo)
-    center = 0.5 * (hi + lo)
-
-    # 2 H~, so that one accumulating matvec writes 2 H~ t - t_prev in place
-    H2 = sparse_hamiltonian(inst)
-    H2.setdiag((inst.potential - center))
-    H2 = H2.multiply(2.0 / half).tocsr()
-
-    a_vals = [beta * half for beta in betas]
-    # per beta, the truncation term dim * tail / (N L) stays at or below TRUNCATION_EPS
-    budgets = [TRUNCATION_EPS * inst.N * math.exp(log_l) / dim for log_l in log_ls]
-    degree = poly_degree or max(map(_chebyshev_degree, a_vals, budgets))
-    ks = np.arange(degree + 1)
-    coeffs = []
-    sup_errs = []
-    x_grid = np.cos(np.linspace(0.0, math.pi, 2049))
-    for a in a_vals:
-        c = np.where(ks == 0, 1.0, 2.0) * ((-1.0) ** ks) * ive(ks, a)
-        approx = np.polynomial.chebyshev.chebval(x_grid, c)
-        sup_errs.append(float(np.max(np.abs(approx - np.exp(-a * (x_grid + 1.0))))))
-        coeffs.append(c)
-
-    steps = (degree + 1) // 2  # ceil(degree / 2) matvecs per probe tile
+        # Zero-width spectrum: H = lo * identity, every probe gives z^T z = dim exactly.
+        exact = np.full((len(betas), probes), math.log(dim))
+        return lo, exact, exact, 0
+    H = sparse_hamiltonian(inst)
+    node = lo - 1e-10 * max(abs(lo), abs(hi))
     block = max(1, min(probes, (1 << 24) // dim))
-    tiles = []
+    log_g, log_r, steps, first_check = [], [], 0, 1
     done = 0
     while done < probes:
         p = min(block, probes - done)
         Z = rng.integers(0, 2, size=(dim, p)).astype(float) * 2.0 - 1.0
         for j in range(0, p, TILE_COLS):
-            tiles.append(_chebyshev_moments(H2, np.ascontiguousarray(Z[:, j:j + TILE_COLS]), steps))
+            tile = np.ascontiguousarray(Z[:, j:j + TILE_COLS])
+            g, r, k = _lanczos_rules(H, tile, node, lo, betas, TRUNCATION_EPS * inst.N, first_check)
+            # a check costs two small eigensolves per column: later tiles
+            # check from one step before the previous tile stopped
+            first_check = k - 1
+            log_g.append(g)
+            log_r.append(r)
+            steps = max(steps, k)
         done += p
-    moments = np.hstack(tiles)[: degree + 1]
-
-    out = []
-    for c, sup_err, log_l in zip(coeffs, sup_errs, log_ls):
-        samples = c @ moments  # one trace sample per probe
-        mean = float(samples.mean())
-        stderr = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else math.inf
-        out.append((mean, stderr, sup_err, lo, log_l))
-    return out, degree
+    return lo, np.hstack(log_g), np.hstack(log_r), steps
 
 
 def stochastic_pressure(
     inst: FiniteInstance,
     beta: float,
     probes: int,
-    poly_degree: int | None = None,
     *,
     seed=0,
     tol: float | None = None,
 ) -> StochasticPressure:
     """Trace-estimated pressure with an error bar.
 
-    The error combines the probe-variance standard error, relative to the
-    estimated trace, with the polynomial truncation bound: sup error times
-    dimension, relative to the Peierls-Bogoliubov lower bound L of the trace,
-    so that part holds whatever the probes drew.  The default degree keeps
-    that part at or below TRUNCATION_EPS per spin.  When ``tol`` is given and
-    the budget cannot reach it, the result is flagged (converged=False)
-    instead of silently degraded.
+    The value is the mean of the probes' Gauss rules.  The error is the
+    probe standard error relative to that mean plus the widest bracket
+    ln(R / G), which bounds how far the mean sits below the probes' exact
+    quadratic forms.  ``degree`` is the largest Lanczos step count.  With
+    ``tol``, an error above it is flagged (converged=False), not hidden.
     """
-    results, degree = _stochastic_traces(inst, [beta], probes, seed, poly_degree)
-    mean, stderr, sup_err, lo, log_l = results[0]
-    if mean <= 0.0:
-        return StochasticPressure(math.nan, math.inf, False, probes, degree)
-    value = (-beta * lo + math.log(mean)) / inst.N
-    # dim * sup_err / L in logs: L underflows at large beta * sum |b_j|
-    log_trunc = inst.N * math.log(2.0) + math.log(sup_err) - log_l if sup_err > 0.0 else -math.inf
-    trunc = math.exp(log_trunc) if log_trunc < 700.0 else math.inf
-    error = (stderr / mean + trunc) / inst.N
-    converged = tol is None or error <= tol
-    return StochasticPressure(value, error, converged, probes, degree)
+    lo, log_g, log_r, steps = _stochastic_traces(inst, [beta], probes, seed)
+    shift = float(log_g.max())
+    samples = np.exp(log_g[0] - shift)  # trace samples over exp(shift): no overflow at any beta
+    mean = float(samples.mean())
+    stderr = float(samples.std(ddof=1)) / math.sqrt(probes) if probes > 1 else math.inf
+    value = (-beta * lo + shift + math.log(mean)) / inst.N
+    error = (stderr / mean + float(np.max(log_r - log_g))) / inst.N
+    return StochasticPressure(value, error, tol is None or error <= tol, probes, steps)
 
 
 def _exp_diag(inst: FiniteInstance, beta: float, anchor: float | None = None):
@@ -421,8 +401,8 @@ def _replica_phis(spec, field, N, beta, seeds, frozen_weights, method, probes, w
     def stochastic(seed):
         value = stochastic_pressure(draw(seed), beta, probes, seed=seed).value
         if not math.isfinite(value):
-            # at large beta the alternating Chebyshev sum on the Gershgorin
-            # interval cancels below its own rounding
+            # safety: the quadrature rules are finite for finite instances,
+            # but a nan replica must never be averaged in
             raise CapacityError(
                 f"stochastic trace estimate is not finite at N={N}, beta={beta}, "
                 f"replica seed {seed}; use method='exact' (N <= {EXACT_MAX_N})"

@@ -5,9 +5,10 @@ oracle enumerates chains over point subsets instead of scanning, the
 pressure oracles recompute the closed forms in mpmath arbitrary precision,
 the cut-point oracle maximizes the truncated pressure over the kinks instead
 of summing partial pressures, the trace oracle runs the Chebyshev
-recurrence forward over every degree, the degree oracles sum the Bessel
-tail of one degree directly, the dense oracle diagonalizes one
-matrix at a time with scipy, and the non-hierarchical oracles
+recurrence forward over every degree (the estimator the package used before
+Lanczos quadrature), the quadratic-form oracle takes each probe's
+z^T exp(-beta (H - lo)) z from a dense eigendecomposition, the dense oracle
+diagonalizes one matrix at a time with scipy, and the non-hierarchical oracles
 search every chain instead of building the greedy one, build it by a
 scalar scan over supersets instead of table lookups, or absorb a chain's
 weights step by step instead of in one pass.
@@ -232,24 +233,45 @@ def absolute_chebyshev_degree(inst, beta):
     return int(np.nonzero(ive_k > 1e-18)[0][-1]) + 5
 
 
-def guaranteed_truncation(inst, beta, degree):
-    """dim * 2 sum_{k > degree} ive(k, beta half) / (N L) with the diagonal
-    sum L = sum_sigma exp(-beta (U(sigma) - lo)) <= Tr exp(-beta (H - lo)):
-    a bound on the per-spin pressure error of a degree-``degree`` series."""
-    lo, half = _gershgorin(inst)
-    tail = 2.0 * math.fsum(ive(np.arange(degree + 1, degree + 2000), beta * half))
-    diag_sum = math.fsum(np.exp(-beta * (inst.potential - lo)))
-    return (1 << inst.N) * tail / (inst.N * diag_sum)
+def rademacher_probes(N, probes, seed):
+    """The package's probes for a seed: Rademacher blocks of at most 2^24
+    entries, drawn in turn and joined column-wise into one (2^N, probes)
+    array."""
+    dim = 1 << N
+    rng = np.random.default_rng(seed)
+    chunk = max(1, min(probes, (1 << 24) // dim))
+    blocks = []
+    done = 0
+    while done < probes:
+        p = min(chunk, probes - done)
+        blocks.append(rng.integers(0, 2, size=(dim, p)).astype(float) * 2.0 - 1.0)
+        done += p
+    return np.hstack(blocks)
+
+
+def dense_quadratic_forms(inst, betas, probes, seed):
+    """z^T exp(-beta (H - lo)) z of every probe, one row per beta, with lo the
+    Gershgorin lower bound, from numpy's eigh of the dense Hamiltonian built
+    here entry by entry."""
+    N, dim = inst.N, 1 << inst.N
+    H = np.diag(inst.potential)
+    idx = np.arange(dim)
+    for j in range(N):
+        H[idx, idx ^ (1 << (N - 1 - j))] = -inst.field_weights[j]
+    levels, V = np.linalg.eigh(H)
+    proj = (V.T @ rademacher_probes(N, probes, seed)) ** 2
+    lo = _gershgorin(inst)[0]
+    return np.array([np.exp(-beta * (levels - lo)) @ proj for beta in betas])
 
 
 def forward_chebyshev_traces(inst, betas, probes, seed, degree):
     """Hutchinson samples of Tr exp(-beta (H - lo)), one array per beta, and lo.
 
-    The forward form of the estimator: every probe block Z runs T_k(H~) Z for
+    The forward form of the estimator: the probes Z run T_k(H~) Z for
     k = 1 .. degree and accumulates c_k T_k(H~) Z per beta, then takes z^T acc
-    per probe.  Probes are the Rademacher blocks of at most 2^24 entries that
-    the package draws for the same seed; the Hamiltonian is built here from
-    the instance's potential and field weights.
+    per probe.  Probes are those the package draws for the same seed
+    (``rademacher_probes``); the Hamiltonian is built here from the
+    instance's potential and field weights.
     """
     N, U, b = inst.N, inst.potential, inst.field_weights
     dim = 1 << N
@@ -264,23 +286,14 @@ def forward_chebyshev_traces(inst, betas, probes, seed, degree):
 
     ks = np.arange(degree + 1)
     coeffs = [np.where(ks == 0, 1.0, 2.0) * (-1.0) ** ks * ive(ks, beta * half) for beta in betas]
-    rng = np.random.default_rng(seed)
-    chunk = max(1, min(probes, (1 << 24) // dim))
-    samples = [[] for _ in betas]
-    done = 0
-    while done < probes:
-        p = min(chunk, probes - done)
-        Z = rng.integers(0, 2, size=(dim, p)).astype(float) * 2.0 - 1.0
-        t_prev, t_cur = Z, Hs @ Z
-        accs = [c[0] * t_prev + c[1] * t_cur for c in coeffs]
-        for k in range(2, degree + 1):
-            t_prev, t_cur = t_cur, 2.0 * (Hs @ t_cur) - t_prev
-            for acc, c in zip(accs, coeffs):
-                acc += c[k] * t_cur
-        for out, acc in zip(samples, accs):
-            out.append(np.einsum("ij,ij->j", Z, acc))
-        done += p
-    return [np.concatenate(s) for s in samples], lo
+    Z = rademacher_probes(N, probes, seed)
+    t_prev, t_cur = Z, Hs @ Z
+    accs = [c[0] * t_prev + c[1] * t_cur for c in coeffs]
+    for k in range(2, degree + 1):
+        t_prev, t_cur = t_cur, 2.0 * (Hs @ t_cur) - t_prev
+        for acc, c in zip(accs, coeffs):
+            acc += c[k] * t_cur
+    return [np.einsum("ij,ij->j", Z, acc) for acc in accs], lo
 
 
 def forward_stochastic_pressure(inst, beta, probes, seed, degree):

@@ -239,13 +239,38 @@ class TestVerify:
         assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_non_finite_stochastic_estimate_exits_with_capacity(self, models):
-        # beta = 8 at N = 9: the Chebyshev sum on the Gershgorin interval
-        # cancels to a non-positive trace for one of the replicas
+    def test_non_finite_stochastic_estimate_exits_with_capacity(self, models, monkeypatch, capsys):
+        # a nan replica stops verify with a capacity error instead of being averaged in
+        from tfglass import verify
+
+        def nan_estimate(inst, beta, probes, *, seed=0, tol=None):
+            return verify.StochasticPressure(math.nan, math.inf, False, probes, 0)
+
+        monkeypatch.setattr(verify, "stochastic_pressure", nan_estimate)
         rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
                    "--beta", "8", "--N", "9", "--replicas", "4", "--seed", "3",
                    "--method", "stochastic", "--probes", "16", "--out", "-"])
         assert rc == 4
+        assert last_error(capsys)["error"] == "capacity"
+
+    def test_glass_phase_stochastic_replicas_within_three_error_bars(self, models, tmp_path):
+        # the beta = 8 reproducer exits 0, each replica within three error
+        # bars of the dense pressure of its instance
+        from tfglass import exact_pressure, sample_instance, stochastic_pressure
+
+        out = tmp_path / "b8.csv"
+        rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
+                   "--beta", "8", "--N", "9", "--replicas", "4", "--seed", "3",
+                   "--method", "stochastic", "--probes", "16", "--out", str(out)])
+        assert rc == 0
+        header, rows = read_rows(out)
+        assert len(rows) == 4
+        rem, field = DistributionSpec.rem(), FieldSpec.constant(1.0)
+        for row in rows:
+            r, phi = int(row[header.index("replica")]), float(row[header.index("phi_N")])
+            inst = sample_instance(rem, field, 9, [3, 9, r + 1])
+            err = stochastic_pressure(inst, 8.0, 16, seed=[3, 9, r + 1]).error
+            assert abs(phi - exact_pressure(inst, 8.0)) <= 3.0 * err, r
 
 
 def last_error(capsys):

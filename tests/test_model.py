@@ -14,6 +14,7 @@ from tfglass import (
     ValidationError,
     concave_hull,
     paramagnetic_pressure,
+    qgrem_pressure,
     right_derivative,
     sample_weights,
 )
@@ -181,6 +182,16 @@ class TestParamagneticPressure:
     def test_zero_field_gives_ln2(self):
         for beta in (0.0, 0.7, 3.0):
             assert paramagnetic_pressure(FieldSpec.constant(0.0), beta) == pytest.approx(math.log(2))
+
+    def test_beta_zero_gives_ln2_exactly_for_rounded_probabilities(self):
+        # 0.9999999999999999 * ln 2 rounds below ln 2, and a cut K > 0 followed
+        for field in (FieldSpec.discrete([(0.7078, 0.9999999999999999)]),
+                      FieldSpec.discrete([(0.3, 0.1), (1.7, 0.2), (-0.4, 0.7)]),
+                      FieldSpec.empirical([0.3, -1.2, 2.0])):
+            assert paramagnetic_pressure(field, 0.0) == math.log(2.0)
+        res = qgrem_pressure(concave_hull(DistributionSpec.rem()), 0.0,
+                             FieldSpec.discrete([(0.7078, 0.9999999999999999)]))
+        assert res.argmax == 0 and res.value == math.log(2.0)
 
     def test_constant_scalar(self):
         assert paramagnetic_pressure(FieldSpec.constant(1.0), 1.2) == pytest.approx(PARA_B12_G1, abs=1e-12)

@@ -116,19 +116,25 @@ class TestOneCutRule:
     """The cut K decides the pressure and the magnetization alike; ties go
     paramagnetic."""
 
-    @pytest.mark.parametrize("law", ["constant", "gaussian"])
+    @pytest.mark.parametrize("law", ["constant", "gaussian", "discrete", "empirical"])
     def test_beta_zero_is_paramagnetic(self, rng, law):
-        # every segment ties at beta = 0: phi_l = L_l ln 2 = L_l p
+        # every segment ties at beta = 0: phi_l = L_l ln 2 = L_l p, for every
+        # law, also where the probabilities or the sample mean round
         for _ in range(200):
             hull = concave_hull(random_spec(rng, max_blocks=30))
             if law == "constant":
                 field = FieldSpec.constant(float(rng.uniform(0.0, 3.0)))
-            else:
+            elif law == "gaussian":
                 field = FieldSpec.gaussian(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 1.5)))
+            elif law == "discrete":
+                probs = rng.dirichlet(np.ones(int(rng.integers(1, 6))))
+                field = FieldSpec.discrete(zip(rng.uniform(-2.0, 2.0, probs.size), probs))
+            else:
+                field = FieldSpec.empirical(rng.uniform(-2.0, 2.0, int(rng.integers(1, 50))))
             res = qgrem_pressure(hull, 0.0, field)
             assert res.argmax == 0
             assert set(res.block_phases) == {BlockPhase.PARAMAGNETIC}
-            assert res.value == paramagnetic_pressure(field, 0.0)
+            assert res.value == paramagnetic_pressure(field, 0.0) == math.log(2.0)
 
     def test_magnetization_takes_the_pressure_cut(self, rng):
         for _ in range(60):

@@ -22,6 +22,8 @@ from tfglass import verify
 from tfglass.model import ln_2cosh, sample_weights
 from tfglass.verify import (
     STACK_BYTES,
+    TRUNCATION_EPS,
+    StochasticPressure,
     _stochastic_traces,
     dense_hamiltonian,
     diagonal_pressure,
@@ -31,8 +33,8 @@ from tfglass.verify import (
 
 from oracles import (
     absolute_chebyshev_degree,
+    dense_quadratic_forms,
     forward_stochastic_pressure,
-    guaranteed_truncation,
     scipy_exact_pressure,
 )
 
@@ -175,10 +177,13 @@ class TestStochasticPressure:
         with pytest.raises(ValidationError):
             stochastic_pressure(inst, 1.0, probes=0)
 
-    def test_insufficient_degree_is_flagged_not_silent(self):
+    def test_tol_below_the_error_is_flagged_not_silent(self):
         inst = sample_instance(REM_SPEC, CONST1, 8, 2)
-        est = stochastic_pressure(inst, 2.0, probes=32, poly_degree=4, seed=1, tol=1e-3)
-        assert not est.converged
+        est = stochastic_pressure(inst, 2.0, probes=32, seed=1)
+        flagged = stochastic_pressure(inst, 2.0, probes=32, seed=1, tol=0.5 * est.error)
+        assert est.converged and not flagged.converged
+        assert stochastic_pressure(inst, 2.0, probes=32, seed=1, tol=est.error).converged
+        assert flagged.value == est.value and flagged.error == est.error
 
     def test_deterministic_for_fixed_seed(self):
         inst = sample_instance(REM_SPEC, CONST1, 8, 2)
@@ -186,25 +191,122 @@ class TestStochasticPressure:
         b = stochastic_pressure(inst, 1.2, probes=32, seed=5)
         assert a == b
 
+    def test_value_is_a_python_float(self):
+        est = stochastic_pressure(sample_instance(REM_SPEC, CONST1, 6, 1), 1.2, probes=8, seed=1)
+        assert type(est.value) is float and type(est.error) is float and type(est.degree) is int
+
+    def test_glass_phase_replicas_within_three_error_bars(self):
+        # the beta = 8 reproducer: the Chebyshev estimator returned a
+        # non-finite replica and finite ones at 10.8, 13.9 and 12.5 here
+        study = convergence_study(REM_SPEC, CONST1, 8.0, [9], 4, seed=3, method="stochastic", probes=16)
+        for r, phi in enumerate(study.replica_phis[0]):
+            inst = sample_instance(REM_SPEC, CONST1, 9, [3, 9, r + 1])
+            est = stochastic_pressure(inst, 8.0, 16, seed=[3, 9, r + 1])
+            assert phi == est.value
+            assert abs(phi - exact_pressure(inst, 8.0)) <= 3.0 * est.error, r
+
+
+class TestDegenerateSpectra:
+    """Spectra where the Gershgorin bound lo is the smallest eigenvalue, or
+    where the Krylov space closes after a few steps."""
+
+    def test_zero_width_spectrum_is_exact(self):
+        inst = sample_instance(ZERO_SPEC, FieldSpec.constant(0.0), 6, 1)  # H = 0
+        for beta in (0.5, 8.0):
+            est = stochastic_pressure(inst, beta, 16, seed=2)
+            assert (est.error, est.degree) == (0.0, 0)
+            assert est.value == pytest.approx(exact_pressure(inst, beta), abs=1e-15)
+
+    def test_zero_field_within_the_bracket_of_exact(self):
+        # a diagonal H: every Rademacher probe gives the trace exactly, so the
+        # whole error is the bracket, and lo = min U is the ground state
+        for N in (8, 10):
+            inst = sample_instance(REM_SPEC, FieldSpec.constant(0.0), N, 4)
+            for beta in (0.5, 1.2, 4.0, 8.0):
+                est = stochastic_pressure(inst, beta, 32, seed=1)
+                assert 0.0 < est.error <= 2.0 * TRUNCATION_EPS
+                assert abs(est.value - exact_pressure(inst, beta)) <= est.error, (N, beta)
+
+    def test_breakdown_is_an_exact_gauss_rule(self):
+        # U = 0 with unit fields at N = 2: the Krylov space of every probe
+        # closes (b_k = 0) within three steps and lo = -2 is an eigenvalue
+        inst = sample_instance(ZERO_SPEC, CONST1, 2, 1)
+        lo, log_g, log_r, steps = _stochastic_traces(inst, [0.5, 8.0], 16, 3)
+        assert lo == -2.0 and steps <= 3
+        assert np.array_equal(log_g, log_r)
+        for beta in (0.5, 1.2, 8.0):
+            est = stochastic_pressure(inst, beta, 64, seed=3)
+            assert abs(est.value - exact_pressure(inst, beta)) <= 3.0 * est.error, beta
+
+    def test_pure_field_closes_the_bracket(self):
+        # U = 0: N + 1 distinct levels, the lowest at lo
+        inst = sample_instance(ZERO_SPEC, FieldSpec.constant(0.7), 9, 4)
+        for beta in (1.2, 8.0):
+            est = stochastic_pressure(inst, beta, 64, seed=8)
+            assert est.degree <= 10
+            assert abs(est.value - exact_pressure(inst, beta)) <= 3.0 * est.error, beta
+
+
+class TestLanczosBracket:
+    """Each probe's Gauss rule is a lower and its Gauss-Radau rule an upper
+    bound of z^T exp(-beta (H - lo)) z."""
+
+    @pytest.mark.parametrize("spec, field", [(REM_SPEC, CONST1), (GREM_SPEC, FieldSpec.gaussian(1.0, 0.5))],
+                             ids=["rem-constant", "two-block-gaussian"])
+    def test_bracket_holds_against_dense_eigh(self, spec, field):
+        betas = [0.5, 1.2, 4.0, 8.0]
+        for N in (8, 10):
+            inst = sample_instance(spec, field, N, [N, 7])
+            exact = dense_quadratic_forms(inst, betas, 16, 5)
+            calls = [(betas, _stochastic_traces(inst, betas, 16, 5))]
+            calls += [([beta], _stochastic_traces(inst, [beta], 16, 5)) for beta in betas]
+            for grid, (lo, log_g, log_r, _steps) in calls:
+                want = np.log(exact[[betas.index(b) for b in grid]])
+                assert np.all(log_g <= want + 1e-12), (N, grid)
+                assert np.all(want <= log_r + 1e-12), (N, grid)
+
+    def test_seeded_sweep_within_three_error_bars(self):
+        # one spectrum per instance serves every beta, the glass phase included
+        for spec in (REM_SPEC, GREM_SPEC):
+            for N in (8, 10, 12):
+                inst = sample_instance(spec, CONST1, N, [N, 21])
+                levels = exact_spectrum(inst)
+                for beta in (0.8, 1.2, 2.5, 8.0):
+                    want = float(verify._pressure_from_levels(levels, beta, N))
+                    est = stochastic_pressure(inst, beta, probes=64, seed=N)
+                    assert abs(est.value - want) <= 3.0 * est.error, (N, beta)
+
+    def test_bracket_within_the_budget_at_N14(self):
+        inst = sample_instance(REM_SPEC, CONST1, 14, 1)
+        lo, log_g, log_r, steps = _stochastic_traces(inst, [1.2], 32, 1)
+        assert np.max(log_r - log_g) / 14 <= TRUNCATION_EPS
+
 
 class TestChebyshevMoments:
-    """The moment kernel against the forward-accumulation oracle."""
+    """The estimator against the Chebyshev estimator it replaced, kept as the
+    forward-recurrence oracle, on the same probes."""
 
     def test_matches_forward_recurrence_per_replica(self):
+        # at the absolute degree the Chebyshev values are exact to rounding at
+        # these betas, and the Gauss mean sits within the bracket budget
         for N in (8, 10, 12):
             for beta in (0.8, 1.2):
                 for replica, spec in ((1, REM_SPEC), (2, GREM_SPEC)):
                     inst = sample_instance(spec, CONST1, N, [N, replica])
                     est = stochastic_pressure(inst, beta, probes=128, seed=replica)
-                    want = forward_stochastic_pressure(inst, beta, 128, replica, est.degree)
-                    assert abs(est.value - want) <= 1e-8, (N, beta, replica)
+                    want = forward_stochastic_pressure(inst, beta, 128, replica, absolute_chebyshev_degree(inst, beta))
+                    assert abs(est.value - want) <= TRUNCATION_EPS, (N, beta, replica)
 
-    def test_beta_grid_equals_single_beta_calls_bitwise(self):
+    def test_beta_grid_within_the_budget_of_single_beta_calls(self):
+        # a grid runs every probe until all its betas are bracketed, so its
+        # rules sit within TRUNCATION_EPS per spin of each single-beta call's
         inst = sample_instance(GREM_SPEC, CONST1, 10, 5)
-        both, degree = _stochastic_traces(inst, [0.8, 1.2], 96, 4)
-        first, _ = _stochastic_traces(inst, [0.8], 96, 4, degree)
-        second, _ = _stochastic_traces(inst, [1.2], 96, 4, degree)
-        assert both == first + second
+        lo, log_g, log_r, _steps = _stochastic_traces(inst, [0.8, 1.2], 96, 4)
+        for row, beta in enumerate((0.8, 1.2)):
+            lo_1, g_1, r_1, _ = _stochastic_traces(inst, [beta], 96, 4)
+            assert lo_1 == lo
+            assert np.max(np.abs(log_g[row] - g_1[0])) <= TRUNCATION_EPS * inst.N, beta
+            assert np.max(r_1[0] - log_g[row]) <= TRUNCATION_EPS * inst.N, beta
 
     def test_error_bar_covers_exact_where_cancellation_dominates(self):
         for seed in (1, 2):
@@ -214,8 +316,8 @@ class TestChebyshevMoments:
 
 
 class TestDegreeRule:
-    """The default degree: smallest with a guaranteed truncation term of at
-    most 1e-6 per spin relative to the diagonal lower bound of the trace."""
+    """The stopping rule behind ``degree``, the largest Lanczos step count:
+    every probe stops once its bracket is within TRUNCATION_EPS per spin."""
 
     GRID = [
         (name, spec, N, beta, seed)
@@ -227,30 +329,30 @@ class TestDegreeRule:
 
     @staticmethod
     def degree(inst, betas):
-        return _stochastic_traces(inst, betas, 1, 0)[1]
+        return _stochastic_traces(inst, betas, 32, 0)[3]
 
     def test_values_within_1e6_of_the_absolute_degree(self):
+        # the Chebyshev oracle loses accuracy to cancellation above beta = 1.2
         for name, spec, N, beta, seed in self.GRID:
+            if beta > 1.2:
+                continue
             inst = sample_instance(spec, CONST1, N, [N, seed])
             est = stochastic_pressure(inst, beta, probes=64, seed=seed)
-            ref = stochastic_pressure(inst, beta, 64, absolute_chebyshev_degree(inst, beta), seed=seed)
-            assert abs(est.value - ref.value) <= 1e-6, (name, N, beta, seed)
+            ref = forward_stochastic_pressure(inst, beta, 64, seed, absolute_chebyshev_degree(inst, beta))
+            assert abs(est.value - ref) <= 1e-6, (name, N, beta, seed)
 
-    def test_smallest_degree_within_the_budget(self):
-        for name, spec, N, beta, seed in self.GRID:
+    def test_every_probe_within_the_budget_for_every_beta(self):
+        for name, spec, N, _beta, seed in self.GRID[::4]:
             inst = sample_instance(spec, CONST1, N, [N, seed])
-            d = self.degree(inst, [beta])
-            if d < absolute_chebyshev_degree(inst, beta):  # else capped: terms below 1e-18
-                assert guaranteed_truncation(inst, beta, d) <= 1e-6, (name, N, beta, seed)
-            assert guaranteed_truncation(inst, beta, d - 1) > 1e-6, (name, N, beta, seed)
+            lo, log_g, log_r, steps = _stochastic_traces(inst, [0.3, 0.8, 1.2, 2.5], 32, seed)
+            assert np.all(log_r - log_g <= TRUNCATION_EPS * N), (name, N, seed)
+            assert np.all(log_r >= log_g - 1e-12), (name, N, seed)  # equal to rounding once converged
 
-    def test_never_above_the_absolute_degree_and_equal_at_large_beta(self):
-        # at large beta the budget falls below the 1e-18 terms, so the
-        # beta = 8 capacity errors see the same degree as without a budget
-        for name, spec, N, beta, seed in self.GRID + [(n, s, N, 8.0, r) for n, s, N, _b, r in self.GRID]:
+    def test_fewer_steps_than_the_chebyshev_matvecs(self):
+        # the capped Chebyshev degree D cost ceil(D / 2) matvecs per probe
+        for name, spec, N, beta, seed in self.GRID + [(n, s, N, 8.0, r) for n, s, N, _b, r in self.GRID[::4]]:
             inst = sample_instance(spec, CONST1, N, [N, seed])
-            d, cap = self.degree(inst, [beta]), absolute_chebyshev_degree(inst, beta)
-            assert d == cap if beta == 8.0 or (beta, N) == (2.5, 12) else d <= cap, (name, N, beta, seed)
+            assert self.degree(inst, [beta]) < math.ceil(absolute_chebyshev_degree(inst, beta) / 2), (name, N, beta)
 
     def test_beta_grid_takes_the_largest_degree(self):
         inst = sample_instance(GREM_SPEC, CONST1, 10, 5)
@@ -259,21 +361,21 @@ class TestDegreeRule:
 
     @pytest.mark.parametrize("spec", [REM_SPEC, GREM_SPEC], ids=["rem", "two-block"])
     def test_matvec_saving_at_N12(self, spec):
-        # the absolute degrees of these instances are 47-49 at beta = 0.8 and
-        # 55-57 at beta = 1.2
+        # the budget Chebyshev degrees of these instances were 33-35 at
+        # beta = 0.8 and 44-47 at beta = 1.2, that is 17-18 and 22-24 matvecs
         for r in range(1, 6):
             inst = sample_instance(spec, CONST1, 12, [12, r])
-            assert self.degree(inst, [0.8]) <= 35, r
-            assert self.degree(inst, [1.2]) <= 47, r
+            assert self.degree(inst, [0.8]) <= 12, r
+            assert self.degree(inst, [1.2]) <= 15, r
 
     def test_truncation_part_of_the_error_is_guaranteed(self):
-        # at degree 24 the truncation term dominates the error; the estimated
-        # trace exceeds its lower bound L many times over, so a bar relative
-        # to the estimate would not cover the guaranteed term
+        # the error bar holds the widest bracket, which bounds how far the
+        # Gauss mean can sit below the mean of the probes' quadratic forms
         for seed in (1, 2, 3):
             inst = sample_instance(REM_SPEC, CONST1, 10, seed)
-            est = stochastic_pressure(inst, 1.2, 64, poly_degree=24, seed=1)
-            assert est.error >= guaranteed_truncation(inst, 1.2, 24) * (1.0 - 1e-9), seed
+            est = stochastic_pressure(inst, 1.2, 64, seed=1)
+            lo, log_g, log_r, _steps = _stochastic_traces(inst, [1.2], 64, 1)
+            assert est.error * inst.N >= float(np.max(log_r - log_g)) > 0.0, seed
 
 
 class TestSignInvariance:
@@ -343,9 +445,13 @@ class TestConvergenceStudy:
         b = convergence_study(REM_SPEC, CONST1, 1.0, [6], replicas=10, seed=7, workers=2)
         assert a == b
 
-    def test_non_finite_stochastic_replica_raises(self):
-        # at beta = 8 the alternating Chebyshev sum cancels to a non-positive
-        # trace estimate for one replica; it must not be averaged in as nan
+    def test_non_finite_stochastic_replica_raises(self, monkeypatch):
+        # a nan replica must not be averaged in: the driver stops on it
+        def nan_for_the_last(inst, beta, probes, *, seed=0, tol=None):
+            value = math.nan if seed == [3, 9, 4] else 1.0
+            return StochasticPressure(value, math.inf, False, probes, 0)
+
+        monkeypatch.setattr(verify, "stochastic_pressure", nan_for_the_last)
         with pytest.raises(CapacityError, match=r"N=9, beta=8.0, replica seed \[3, 9, 4\]"):
             convergence_study(REM_SPEC, CONST1, 8.0, [9], 4, seed=3, method="stochastic", probes=16)
 
