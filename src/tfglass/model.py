@@ -194,16 +194,17 @@ def hull_from_points(points) -> ConcaveHull:
 
     One left-to-right stack scan over points with increasing x.  The top
     vertex is popped while the cross product says left turn or collinear, or
-    while the divided slopes through it fail to strictly decrease (nearly
-    collinear points can tie at float resolution).  So a collinear run gives
-    one segment, and the slopes come out strictly decreasing.
+    while the divided slopes through it fail to decrease by more than
+    _SUM_TOL relative (points collinear before rounding tie only to float
+    resolution).  So a collinear run gives one segment, and the slopes come
+    out strictly decreasing.
     """
     verts = [(0.0, 0.0)]
     for x2, v2 in ((float(x), float(v)) for x, v in points):
         while len(verts) >= 2:
             (x0, v0), (x1, v1) = verts[-2], verts[-1]
             if ((x1 - x0) * (v2 - v0) - (v1 - v0) * (x2 - x0) >= 0.0
-                    or (v1 - v0) / (x1 - x0) <= (v2 - v1) / (x2 - x1)):
+                    or (v1 - v0) / (x1 - x0) - (v2 - v1) / (x2 - x1) <= _SUM_TOL * abs(v1 - v0) / (x1 - x0)):
                 verts.pop()
             else:
                 break

@@ -1,10 +1,13 @@
 """Finite-size ground truth: sampled disorder, exact and stochastic pressures.
 
-One disorder realization fixes 2^N energies built from the hierarchical
-Gaussian cascade (level k contributes sqrt(N a_k) times a standard Gaussian
-indexed by the length-ceil(x_k N) spin prefix) and N field weights.  The
-Hamiltonian on the configuration space is diagonal in the energies with
--b_j connecting configurations that differ by one spin flip.
+One disorder realization fixes N field weights and 2^N energies, a sum of
+independent Gaussian layers: a level (J, a_J) contributes sqrt(N a_J) times a
+standard Gaussian indexed by the spins of the blocks in J.  One sampler serves
+both model kinds: a non-hierarchical model lists its weighted subsets, and a
+hierarchical profile is the special case of the prefix levels J = {1..k},
+with a_k its jumps and block k ending at spin ceil(x_k N).  The Hamiltonian,
+written straight into CSR, is diagonal in the energies with -b_j connecting
+configurations that differ by one spin flip.
 
 Two evaluation paths coexist.  The exact path diagonalizes densely and is
 gated at N <= 14.  The stochastic path needs only matrix-vector products and
@@ -63,6 +66,20 @@ class FiniteInstance:
     field_weights: np.ndarray
     seed: object
 
+    def __post_init__(self):
+        # safety: a short potential or a non-finite entry would surface as a
+        # scipy ValueError or a LinAlgError deep inside a solver
+        if not 1 <= self.N <= STOCH_MAX_N:
+            raise CapacityError(f"finite instances are gated at 1 <= N <= {STOCH_MAX_N}, got N={self.N}")
+        U, b = np.asarray(self.potential, dtype=float), np.asarray(self.field_weights, dtype=float)
+        if U.shape != (1 << self.N,) or b.shape != (self.N,):
+            raise ValidationError(f"need 2^N energies and N field weights at N={self.N}, "
+                                  f"got shapes {U.shape} and {b.shape}")
+        if not (np.isfinite(U).all() and np.isfinite(b).all()):
+            raise ValidationError("energies and field weights must be finite")
+        object.__setattr__(self, "potential", U)
+        object.__setattr__(self, "field_weights", b)
+
 
 def _block_boundaries(xs, N):
     """ceil(x_k * N) per breakpoint, with float fuzz absorbed."""
@@ -77,40 +94,20 @@ def _block_boundaries(xs, N):
     return bounds
 
 
-def _hierarchical_potential(spec: DistributionSpec, N: int, rng) -> np.ndarray:
-    if spec.kind is ProfileKind.PIECEWISE_LINEAR:
-        points = [(k / N, spec.value_at(k / N)) for k in range(1, N + 1)]
-    else:
-        points = list(spec.points)
-    bounds = _block_boundaries([x for x, _ in points], N)
-    values = [v for _, v in points]
-    jumps = np.diff([0.0] + values)
-    U = np.zeros(1 << N)
-    for n_k, a_k in zip(bounds, jumps):
-        if a_k <= 0.0:
-            continue
-        g = rng.standard_normal(1 << n_k)
-        U += math.sqrt(N * a_k) * np.repeat(g, 1 << (N - n_k))
-    return U
+def _potential(N: int, ends, levels, rng) -> np.ndarray:
+    """Energies of the 2^N configurations: one Gaussian layer per level, in draw order.
 
-
-def _nonhier_potential(model: NonHierModel, N: int, rng) -> np.ndarray:
-    cum = np.cumsum(model.block_lengths)
-    bounds = _block_boundaries(cum, N)
-    widths = np.diff([0] + bounds)
+    A level is (1-based block indices J, a_J); block k ends at spin ends[k-1],
+    and spin 1 is a configuration's top bit.  With one axis per block, the
+    draw for J spans J's axes and broadcasts over the rest, so every level
+    costs one pass over the configurations.
+    """
+    widths = np.diff([0] + ends)
     U = np.zeros(1 << N)
-    conf = np.arange(1 << N, dtype=np.int64)
-    for mask in sorted(model.weights):
-        a_j = model.weights[mask]
-        idx = np.zeros(1 << N, dtype=np.int64)
-        total_width = 0
-        for k in indices_of(mask):
-            w_k = int(widths[k - 1])
-            block_bits = (conf >> (N - bounds[k - 1])) & ((1 << w_k) - 1)
-            idx = (idx << w_k) | block_bits
-            total_width += w_k
-        g = rng.standard_normal(1 << total_width)
-        U += math.sqrt(N * a_j) * g[idx]
+    blocks_view = U.reshape([1 << int(w) for w in widths])
+    for blocks, a_j in levels:
+        shape = [1 << int(w) if k in blocks else 1 for k, w in enumerate(widths, 1)]
+        blocks_view += math.sqrt(N * a_j) * rng.standard_normal(math.prod(shape)).reshape(shape)
     return U
 
 
@@ -127,32 +124,40 @@ def sample_instance(spec, field: FieldSpec, N: int, seed) -> FiniteInstance:
         raise CapacityError(f"sampling gated at N <= {STOCH_MAX_N}")
     rng = _rng(seed)
     if isinstance(spec, NonHierModel):
-        U = _nonhier_potential(spec, N, rng)
+        ends = _block_boundaries(np.cumsum(spec.block_lengths), N)
+        levels = [(indices_of(mask), spec.weights[mask]) for mask in sorted(spec.weights)]
     elif isinstance(spec, DistributionSpec):
-        U = _hierarchical_potential(spec, N, rng)
+        points = spec.points
+        if spec.kind is ProfileKind.PIECEWISE_LINEAR:
+            points = [(k / N, spec.value_at(k / N)) for k in range(1, N + 1)]
+        ends = _block_boundaries([x for x, _ in points], N)
+        jumps = np.diff([0.0] + [v for _, v in points])
+        levels = [(range(1, k + 1), a_k) for k, a_k in enumerate(jumps, 1) if a_k > 0.0]
     else:
         raise ValidationError(f"unsupported spec type {type(spec).__name__}")
-    b = sample_weights(field, N, rng)
-    return FiniteInstance(N, U, np.asarray(b, dtype=float), seed)
+    U = _potential(N, ends, levels, rng)
+    return FiniteInstance(N, U, sample_weights(field, N, rng), seed)
 
 
 def sparse_hamiltonian(inst: FiniteInstance) -> scipy.sparse.csr_matrix:
-    """2^N x 2^N Hamiltonian: energies on the diagonal, -b_j on single flips."""
+    """2^N x 2^N Hamiltonian: energies on the diagonal, -b_j on single flips.
+
+    Written straight into CSR: row i holds i, then i with spin j flipped, and
+    sort_indices orders each row.  int32 columns hold: N <= 20, 21 * 2^20 < 2^31.
+    """
     import scipy.sparse
 
-    dim = 1 << inst.N
-    idx = np.arange(dim)
-    rows = [idx]
-    cols = [idx]
-    data = [inst.potential]
-    for j in range(inst.N):
-        rows.append(idx)
-        cols.append(idx ^ (1 << (inst.N - 1 - j)))
-        data.append(np.full(dim, -inst.field_weights[j]))
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
+    N, dim = inst.N, 1 << inst.N
+    cols = np.empty((dim, N + 1), dtype=np.int32)
+    cols[:, 0] = np.arange(dim, dtype=np.int32)
+    np.bitwise_xor(cols[:, :1], 1 << np.arange(N - 1, -1, -1, dtype=np.int32), out=cols[:, 1:])
+    data = np.empty((dim, N + 1))
+    data[:, 0] = inst.potential
+    data[:, 1:] = -inst.field_weights
+    indptr = np.arange(0, dim * (N + 1) + 1, N + 1, dtype=np.int32)
+    H = scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(dim, dim))
+    H.sort_indices()
+    return H
 
 
 def dense_hamiltonian(inst: FiniteInstance) -> np.ndarray:
@@ -308,8 +313,6 @@ def _stochastic_traces(inst, betas, probes, seed):
     """
     if probes < 1:
         raise ValidationError("need at least one probe")
-    if inst.N > STOCH_MAX_N:
-        raise CapacityError(f"stochastic path gated at N <= {STOCH_MAX_N}")
     rng = _rng(seed)
     dim = 1 << inst.N
     b_abs = float(np.abs(inst.field_weights).sum())

@@ -11,13 +11,18 @@ z^T exp(-beta (H - lo)) z from a dense eigendecomposition, the dense oracle
 diagonalizes one matrix at a time with scipy, and the non-hierarchical oracles
 search every chain instead of building the greedy one, build it by a
 scalar scan over supersets instead of table lookups, or absorb a chain's
-weights step by step instead of in one pass.
+weights step by step instead of in one pass.  The exact hull scans
+`fractions.Fraction` points with no tolerance, and the disorder and
+Hamiltonian references are the builders the package used before one
+sampler served both model kinds: the hierarchical cascade by repetition,
+the subset sampler by per-block bit extraction, and the COO detour to CSR.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +31,7 @@ import scipy.sparse
 from scipy.special import ive
 
 from tfglass import Chain, chain_grem, classical_pressure, crem_truncated_pressure
+from tfglass.model import ProfileKind
 from tfglass.nonhier import ReducedGrem, indices_of
 
 mp.mp.dps = 40
@@ -69,6 +75,21 @@ def brute_force_hull(points):
     for i in range(len(candidates)):
         assert np.all(values[best] <= values[i] + 1e-9), "envelope is not pointwise minimal"
     return candidates[best]
+
+
+def exact_hull_vertices(points):
+    """Kinks (x, A) of the upper concave envelope of {(0,0)} + points, in
+    exact rational arithmetic: a vertex is popped on a left turn or a
+    collinear triple, with no tolerance."""
+    verts = [(Fraction(0), Fraction(0))]
+    for x2, v2 in ((Fraction(x), Fraction(v)) for x, v in points):
+        while len(verts) >= 2:
+            (x0, v0), (x1, v1) = verts[-2], verts[-1]
+            if (x1 - x0) * (v2 - v0) - (v1 - v0) * (x2 - x0) < 0:
+                break
+            verts.pop()
+        verts.append((x2, v2))
+    return verts[1:]
 
 
 def mp_ln2cosh(x):
@@ -316,6 +337,59 @@ def scipy_exact_pressure(inst, beta):
     return (-beta * lo + math.log(float(np.exp(-beta * (levels - lo)).sum()))) / N
 
 
+def _block_ends(xs, N):
+    return [math.ceil(x * N - 1e-9) for x in xs]
+
+
+def cascade_potential(spec, N, rng):
+    """Hierarchical energies level by level: level k adds sqrt(N a_k) times
+    2^(end of block k) Gaussians, each repeated over the configurations that
+    share that spin prefix; zero jumps draw nothing."""
+    points = spec.points
+    if spec.kind is ProfileKind.PIECEWISE_LINEAR:
+        points = [(k / N, spec.value_at(k / N)) for k in range(1, N + 1)]
+    jumps = np.diff([0.0] + [v for _, v in points])
+    U = np.zeros(1 << N)
+    for n_k, a_k in zip(_block_ends([x for x, _ in points], N), jumps):
+        if a_k > 0.0:
+            g = rng.standard_normal(1 << n_k)
+            U += math.sqrt(N * a_k) * np.repeat(g, 1 << (N - n_k))
+    return U
+
+
+def subset_potential(model, N, rng):
+    """Non-hierarchical energies subset by subset, in ascending mask order:
+    each block's spins are cut out of the configuration index one block at a
+    time and concatenated into the index of the subset's Gaussian draw."""
+    ends = _block_ends(np.cumsum(model.block_lengths), N)
+    widths = np.diff([0] + ends)
+    conf = np.arange(1 << N, dtype=np.int64)
+    U = np.zeros(1 << N)
+    for mask in sorted(model.weights):
+        idx = np.zeros(1 << N, dtype=np.int64)
+        total_width = 0
+        for k in indices_of(mask):
+            w_k = int(widths[k - 1])
+            idx = (idx << w_k) | ((conf >> (N - ends[k - 1])) & ((1 << w_k) - 1))
+            total_width += w_k
+        U += math.sqrt(N * model.weights[mask]) * rng.standard_normal(1 << total_width)[idx]
+    return U
+
+
+def coo_hamiltonian(inst):
+    """The sparse Hamiltonian by way of COO triplets (int64 rows and columns,
+    the diagonal block first, then one block per spin flip), converted to CSR
+    by scipy."""
+    dim = 1 << inst.N
+    idx = np.arange(dim)
+    rows = [idx] * (inst.N + 1)
+    cols = [idx] + [idx ^ (1 << (inst.N - 1 - j)) for j in range(inst.N)]
+    data = [inst.potential] + [np.full(dim, -inst.field_weights[j]) for j in range(inst.N)]
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
+
+
 # Frozen worked scalars (mpmath, 40 digits, formulas above).  The printed
 # six-decimal targets they correspond to: 1.412893, 1.286836, 1.479296,
 # 1.085039, 0.706446.
@@ -327,3 +401,4 @@ GREM_CLASSICAL_B12 = 1.3984517859546923
 GREM_QUANTUM_B12_G1 = 1.4792962717516945     # K=1 cut
 REM_GAMMA_C_B1 = 1.0850385019483878          # arcosh(exp(1/2))
 REM_TRUNCATED_B12_Z05 = 0.7064460135092848
+

@@ -1,6 +1,7 @@
 """Profiles, concave envelopes, field laws."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,26 @@ from tfglass import (
 from tfglass.model import hull_from_points, ln_2cosh
 
 from conftest import random_spec, step_specs
-from oracles import PARA_B12_G1, brute_force_hull, mp_gaussian_paramagnetic
+from oracles import PARA_B12_G1, brute_force_hull, exact_hull_vertices, mp_gaussian_paramagnetic
+
+# four runs of breakpoints, each collinear before rounding: slopes 108/61, 72/61, 36/61, 0
+ROUNDED_RUNS = (
+    [Fraction(1, 9), Fraction(1, 6), Fraction(7, 18), Fraction(7, 12), Fraction(23, 36),
+     Fraction(25, 36), Fraction(7, 9), Fraction(17, 18), Fraction(1)],
+    [Fraction(k, 61) for k in (12, 16, 32, 46, 50, 52, 55, 61, 61)],
+)
+
+
+def rational_collinear_runs(rng):
+    """1-4 runs of 1-4 breakpoints each, with integer slopes falling from run
+    to run and rational spacings, scaled to end at (1, 1) when not flat."""
+    x, v, points = Fraction(0), Fraction(0), []
+    for slope in sorted(rng.choice(10, size=int(rng.integers(1, 5)), replace=False), reverse=True):
+        for _ in range(int(rng.integers(1, 5))):
+            dx = Fraction(int(rng.integers(1, 6)), int(rng.choice([3, 6, 7, 9, 12, 36])))
+            x, v = x + dx, v + int(slope) * dx
+            points.append((x, v))
+    return [(px / x, pv / max(v, Fraction(1))) for px, pv in points]
 
 
 class TestDistributionSpec:
@@ -132,6 +152,19 @@ class TestConcaveHull:
         hull = hull_from_points(zip(xs, values))
         assert hull.support == pytest.approx(support, abs=1e-12)
         assert hull.slopes == pytest.approx(slopes, abs=1e-12)
+
+    def test_rounded_collinear_runs_give_one_segment_each(self):
+        # at float resolution two of the runs' slopes differ in the last bit
+        hull = hull_from_points(zip(*[[float(p) for p in col] for col in ROUNDED_RUNS]))
+        assert len(exact_hull_vertices(zip(*ROUNDED_RUNS))) == hull.m == 4
+        assert hull.support == pytest.approx((1 / 9, 23 / 36, 17 / 18, 1.0), abs=1e-15)
+
+    def test_no_spurious_kink_on_rounded_rational_runs(self):
+        for seed in range(300):
+            points = rational_collinear_runs(np.random.default_rng(seed))
+            hull = hull_from_points([(float(x), float(v)) for x, v in points])
+            kinks = [float(x) for x, _ in exact_hull_vertices(points)]
+            assert hull.support == pytest.approx(kinks, abs=1e-15), seed
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", range(4))

@@ -22,6 +22,7 @@ from tfglass import (
     greedy_reduction,
     paramagnetic_pressure,
     quantum_nonhier_pressure,
+    transition_scan,
 )
 from tfglass.nonhier import indices_of, mask_of, subset_sums
 
@@ -181,6 +182,14 @@ class TestGreedyChain:
         hull = chain_grem(MODEL2, chain).hull()
         assert hull.m == 1
         assert hull.slopes == pytest.approx((1.0,))
+
+    def test_rounded_tie_gives_one_segment(self):
+        # {2} and {1,2} tie at slope 1 before rounding: one round, one kink,
+        # one transition line
+        model = NonHierModel.from_subsets([0.5, 0.5], {(2,): 0.5, (1,): 1 / 6, (1, 2): 1 / 3})
+        _, hull, kink_sets = greedy_reduction(model)
+        assert hull.m == 1 and kink_sets == (mask_of([1, 2]),)
+        assert len(transition_scan(hull, 1.2)) == 1
 
     def test_hierarchical_special_case_recovers_identity_chain(self, rng):
         # weights only on prefixes {1..k}: the model is already hierarchical

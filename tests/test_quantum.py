@@ -381,6 +381,14 @@ class TestTransitionScan:
         with pytest.raises(ValidationError, match="finite"):
             transition_scan(REM, 1.0, **{keyword: value})
 
+    def test_rounded_collinear_runs_give_one_line_each(self):
+        # four segments, the last flat; the second's two runs tie before rounding
+        xs = [1 / 9, 1 / 6, 7 / 18, 7 / 12, 23 / 36, 25 / 36, 7 / 9, 17 / 18, 1.0]
+        values = [k / 61 for k in (12, 16, 32, 46, 50, 52, 55, 61, 61)]
+        scan = transition_scan(concave_hull(DistributionSpec.step(xs, values)), 1.2)
+        assert len(scan) == 3
+        assert sum(abs(t.gamma - 1.23748) < 1e-5 for t in scan) == 1
+
     def test_flat_tail_has_one_line(self):
         hull = concave_hull(DistributionSpec.step([0.08, 1.0], [1.0, 1.0]))
         for beta in (0.3, 0.5, 1.2, 5.0, 1e3):

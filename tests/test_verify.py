@@ -10,6 +10,7 @@ from tfglass import (
     CapacityError,
     DistributionSpec,
     FieldSpec,
+    NonHierModel,
     ValidationError,
     concentration_check,
     convergence_study,
@@ -22,20 +23,26 @@ from tfglass import verify
 from tfglass.model import ln_2cosh, sample_weights
 from tfglass.verify import (
     STACK_BYTES,
+    STOCH_MAX_N,
     TRUNCATION_EPS,
+    FiniteInstance,
     StochasticPressure,
     _stochastic_traces,
     dense_hamiltonian,
     diagonal_pressure,
     exact_spectrum,
     field_only_pressure,
+    sparse_hamiltonian,
 )
 
 from oracles import (
     absolute_chebyshev_degree,
+    cascade_potential,
+    coo_hamiltonian,
     dense_quadratic_forms,
     forward_stochastic_pressure,
     scipy_exact_pressure,
+    subset_potential,
 )
 
 LN2 = math.log(2.0)
@@ -108,6 +115,82 @@ class TestSampleInstance:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             sample_instance(REM_SPEC, CONST1, 21, 0)
+
+
+class TestOneSampler:
+    """sample_instance and sparse_hamiltonian against the builders they replaced, bitwise."""
+
+    HIERARCHICAL = {
+        "rem": REM_SPEC,
+        "two-block": GREM_SPEC,
+        "piecewise-linear": DistributionSpec.piecewise_linear([0.3, 0.6, 1.0], [0.5, 1.0, 1.0]),
+        "zero-jump": ZERO_SPEC,
+        "unnormalized": DistributionSpec.step([0.25, 0.5, 1.0], [0.2, 0.2, 0.7], normalized=False),
+    }
+    NONHIER = {
+        "non-adjacent": NonHierModel.from_subsets([0.25, 0.25, 0.5], {(1, 3): 0.5, (2,): 0.2, (1, 2, 3): 0.3}),
+        "four-blocks": NonHierModel.from_subsets(
+            [0.25] * 4, {(2, 4): 0.3, (1, 2, 3): 0.25, (1,): 0.1, (1, 2, 4): 0.15, (3, 4): 0.2}),
+    }
+
+    @staticmethod
+    def assert_same_draws(spec, reference, N, seed):
+        # the reference's generator then draws the field weights: equal
+        # weights mean the sampler consumed exactly the reference's draws
+        field = FieldSpec.gaussian(0.1, 1.0)
+        inst = sample_instance(spec, field, N, seed)
+        rng = np.random.default_rng(seed)
+        assert inst.potential.tobytes() == reference(spec, N, rng).tobytes()
+        assert inst.field_weights.tobytes() == sample_weights(field, N, rng).tobytes()
+
+    @pytest.mark.parametrize("N", [4, 8, 12])
+    @pytest.mark.parametrize("name", HIERARCHICAL)
+    def test_hierarchical_potential_equals_the_cascade(self, name, N):
+        for r in range(3):
+            self.assert_same_draws(self.HIERARCHICAL[name], cascade_potential, N, [r, N])
+
+    @pytest.mark.parametrize("N", [8, 12])
+    @pytest.mark.parametrize("name", NONHIER)
+    def test_nonhier_potential_equals_the_subset_sampler(self, name, N):
+        for r in range(3):
+            self.assert_same_draws(self.NONHIER[name], subset_potential, N, [r, N])
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_csr_arrays_equal_the_coo_build(self, N):
+        for field in (CONST1, FieldSpec.constant(0.0), FieldSpec.gaussian(0.1, 1.0)):
+            inst = sample_instance(REM_SPEC, field, N, [N, 1])
+            got, want = sparse_hamiltonian(inst), coo_hamiltonian(inst)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestFiniteInstanceChecks:
+    @pytest.mark.parametrize("N", [0, STOCH_MAX_N + 1])
+    def test_size_outside_the_gate_is_a_capacity_error(self, N):
+        with pytest.raises(CapacityError):
+            FiniteInstance(N, np.zeros(4), np.zeros(2), 0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("potential", np.zeros(15)),
+        ("potential", np.zeros((4, 4))),
+        ("field_weights", np.ones(3)),
+    ])
+    def test_wrong_shape_is_a_validation_error(self, field, value):
+        inst = sample_instance(REM_SPEC, CONST1, 4, 0)
+        with pytest.raises(ValidationError, match="shapes"):
+            exact_pressure(replace(inst, **{field: value}), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["potential", "field_weights"])
+    def test_non_finite_entry_is_a_validation_error(self, field, bad):
+        inst = sample_instance(REM_SPEC, CONST1, 4, 0)
+        values = getattr(inst, field).copy()
+        values[1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            exact_pressure(replace(inst, **{field: values}), 1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            stochastic_pressure(replace(inst, **{field: values}), 1.0, 4)
 
 
 class TestExactPressure:
