@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .errors import DomainError
 from .model import LN2, ConcaveHull
@@ -36,10 +37,11 @@ class PartialPressureTable:
     freeze_beta: tuple[float, ...]
     frozen: tuple[bool, ...]
     lengths: tuple[float, ...]
+    prefix: tuple[float, ...]  # 0.0, phi_1, phi_1 + phi_2, ...: added left to right
 
-    @cached_property
+    @property
     def total(self) -> float:
-        return float(sum(self.phi))
+        return self.prefix[-1]
 
     @cached_property
     def per_length(self) -> tuple[float, ...]:
@@ -71,7 +73,8 @@ def _table(hull: ConcaveHull, beta: float) -> PartialPressureTable:
             phi.append(0.5 * beta * beta * a_l + L_l * LN2)
         fbeta.append(b_l)
         frozen.append(is_frozen)
-    return PartialPressureTable(beta, tuple(phi), tuple(fbeta), tuple(frozen), hull.lengths)
+    return PartialPressureTable(beta, tuple(phi), tuple(fbeta), tuple(frozen), hull.lengths,
+                                tuple(accumulate(phi, initial=0.0)))
 
 
 def classical_pressure(hull: ConcaveHull, beta: float) -> float:

@@ -164,6 +164,11 @@ class ConcaveHull:
         spacing = zip(self.lengths, self.support, (0.0,) + self.support, self.slopes, self.increments)
         if any(abs(L - (y - y0)) > _SUM_TOL or abs(g * L - a) > _SUM_TOL for L, y, y0, g, a in spacing):
             raise ValidationError("hull lengths must be the kink spacing, and slope * length the increment")
+        # hashed once here, not on every partial_pressures memo lookup
+        object.__setattr__(self, "_hash", hash((self.support, self.increments, self.lengths, self.slopes)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def m(self) -> int:

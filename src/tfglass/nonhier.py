@@ -227,9 +227,11 @@ def greedy_reduction(model: NonHierModel) -> tuple[Chain, ConcaveHull, tuple[int
     Starting from the empty set, each round picks the strict superset S of the
     current set C maximizing the incremental slope
     (weight inside S - weight inside C) / (length of S - length of C);
-    slope ties prefer the larger set, then the lexicographically smallest
-    index tuple.  The new blocks of each round join the chain in ascending
-    order, completing the support sets to unit steps.
+    slopes within _SUM_TOL relative of the maximum tie, and ties prefer the
+    larger set (the union of the tied sets, in exact arithmetic), then the
+    lexicographically smallest index tuple.  The new blocks of each round
+    join the chain in ascending order, completing the support sets to unit
+    steps.
 
     Weight, length, size and tie-break rank of every mask sit in tables, so
     a round is one slope vector over the strict supersets and one lexsort of
@@ -256,7 +258,7 @@ def greedy_reduction(model: NonHierModel) -> tuple[Chain, ConcaveHull, tuple[int
     while current != model.full_mask:
         cand = masks[(masks & current) == current][1:]  # strict supersets; [0] is current
         slope = (atilde[cand] - atilde[current]) / (lengths[cand] - lengths[current])
-        top = cand[slope == slope.max()]
+        top = cand[slope >= (1.0 - _SUM_TOL) * slope.max()]
         best = int(top[np.lexsort((rank[top], size[top]))[-1]])
         order.extend(indices_of(best & ~current))
         rounds[float(lengths[best])] = best

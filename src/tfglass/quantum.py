@@ -107,16 +107,14 @@ def qgrem_pressure(hull: ConcaveHull, beta: float, field: FieldSpec) -> QuantumP
 
     The cut K comes from ``_cut``: K = 0 (every block paramagnetic) wins for
     strong fields and at beta = 0, and a tie goes toward the smaller K.  The
-    value is sum_{l<=K} phi_l + (1 - y_K) p.
+    value is sum_{l<=K} phi_l + (1 - y_K) p, the sum read off the table's
+    prefix sums.
     """
     _require_full_span(hull)
     p = paramagnetic_pressure(field, beta)
     table = partial_pressures(hull, beta)
     k, y_k = _cut(hull, table, p)
-    acc = 0.0
-    for phi_l in table.phi[:k]:
-        acc += phi_l
-    return QuantumPressureResult(acc + (1.0 - y_k) * p, k, _phases(hull.m, k))
+    return QuantumPressureResult(table.prefix[k] + (1.0 - y_k) * p, k, _phases(hull.m, k))
 
 
 def _acosh_exp(x: float) -> float:

@@ -11,7 +11,9 @@ z^T exp(-beta (H - lo)) z from a dense eigendecomposition, the dense oracle
 diagonalizes one matrix at a time with scipy, and the non-hierarchical oracles
 search every chain instead of building the greedy one, build it by a
 scalar scan over supersets instead of table lookups, or absorb a chain's
-weights step by step instead of in one pass.  The exact hull scans
+weights step by step instead of in one pass.  The summation oracles add
+phi_1..phi_K one by one in a loop, as the package did before its segment
+table carried prefix sums.  The exact hull scans
 `fractions.Fraction` points with no tolerance, and the disorder and
 Hamiltonian references are the builders the package used before one
 sampler served both model kinds: the hierarchical cascade by repetition,
@@ -30,7 +32,14 @@ import scipy.linalg
 import scipy.sparse
 from scipy.special import ive
 
-from tfglass import Chain, chain_grem, classical_pressure, crem_truncated_pressure
+from tfglass import (
+    Chain,
+    chain_grem,
+    classical_pressure,
+    crem_truncated_pressure,
+    paramagnetic_pressure,
+    partial_pressures,
+)
 from tfglass.model import ProfileKind
 from tfglass.nonhier import ReducedGrem, indices_of
 
@@ -152,6 +161,28 @@ def kink_cut_pressure(hull, beta, p):
     return best, best_z
 
 
+def loop_classical_pressure(hull, beta):
+    """The sum of the partial pressures, added left to right in a loop."""
+    acc = 0.0
+    for phi_l in partial_pressures(hull, beta).phi:
+        acc += phi_l
+    return acc
+
+
+def loop_qgrem_pressure(hull, beta, field):
+    """The step formula with the cut scanned and phi_1..phi_K added in the
+    same loop: (value, K, y_K).  A segment joins the cut while
+    phi_l > L_l p, so a tie goes paramagnetic."""
+    p = paramagnetic_pressure(field, beta)
+    k, acc = 0, 0.0
+    for phi_l, L_l in zip(partial_pressures(hull, beta).phi, hull.lengths):
+        if not phi_l > L_l * p:
+            break
+        k, acc = k + 1, acc + phi_l
+    y_k = hull.support[k - 1] if k else 0.0
+    return acc + (1.0 - y_k) * p, k, y_k
+
+
 def _chain_pressure(model, order, beta):
     return classical_pressure(chain_grem(model, Chain.from_order(order)).hull(), beta)
 
@@ -180,24 +211,25 @@ def maxmin_candidates(model, inner, p):
 
 
 def scan_greedy_chain(model):
-    """The greedy chain by a scalar scan: every strict superset of each round,
-    ranked by the key (slope, set size, negated index tuple)."""
+    """The greedy chain by a scalar scan over every strict superset of each
+    round.  Slopes within 1e-12 relative of the round maximum tie; the tied
+    sets are ranked by the key (set size, negated index tuple)."""
     atilde = loop_cumulative_weights(model)
     lengths = [model.subset_length(m) for m in range(1 << model.n)]
     current, order = 0, []
     while current != model.full_mask:
         rest = model.full_mask & ~current
-        best = None
+        slopes = []
         sub = rest
         while sub:
             cand = current | sub
-            slope = (atilde[cand] - atilde[current]) / (lengths[cand] - lengths[current])
-            key = (slope, bin(cand).count("1"), tuple(-i for i in indices_of(cand)))
-            if best is None or key > best[0]:
-                best = (key, cand)
+            slopes.append(((atilde[cand] - atilde[current]) / (lengths[cand] - lengths[current]), cand))
             sub = (sub - 1) & rest
-        order.extend(indices_of(best[1] & ~current))
-        current = best[1]
+        top = max(slope for slope, _ in slopes)
+        best = max((bin(cand).count("1"), tuple(-i for i in indices_of(cand)), cand)
+                   for slope, cand in slopes if slope >= (1.0 - 1e-12) * top)[-1]
+        order.extend(indices_of(best & ~current))
+        current = best
     return Chain.from_order(order)
 
 

@@ -1,6 +1,9 @@
 """Classical pressures: partial pressures, truncation, freezing boundary."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -122,6 +125,38 @@ class TestTableMemo:
         table = partial_pressures(GREM, 0.9)
         assert table.per_length is table.per_length
         assert table.total == float(sum(table.phi))
+
+    def test_equal_hulls_share_one_hash_and_one_table(self):
+        names = [f.name for f in dataclasses.fields(ConcaveHull)]
+        twins = [
+            concave_hull(DistributionSpec.from_jumps([0.7, 0.3], [0.5, 1.0])),
+            ConcaveHull(*(list(getattr(GREM, name)) for name in names)),
+            dataclasses.replace(GREM),
+            copy.deepcopy(GREM),
+            pickle.loads(pickle.dumps(GREM)),
+        ]
+        assert all(twin is not GREM and twin == GREM and hash(twin) == hash(GREM) for twin in twins)
+        classical._table.cache_clear()
+        tables = [partial_pressures(hull, 1.3) for hull in [GREM] + twins]
+        assert all(t is tables[0] for t in tables)
+        info = classical._table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(twins), 1)
+
+    def test_fields_repr_and_hash_value_are_the_dataclass_ones(self):
+        names = ["support", "increments", "lengths", "slopes"]
+        assert [f.name for f in dataclasses.fields(ConcaveHull)] == names
+        shown = ", ".join(f"{name}={getattr(GREM, name)!r}" for name in names)
+        assert repr(GREM) == f"ConcaveHull({shown})"
+        assert hash(GREM) == hash(tuple(getattr(GREM, name) for name in names))
+
+    def test_prefix_sums_add_left_to_right(self, rng):
+        for _ in range(50):
+            hull = concave_hull(random_spec(rng, max_blocks=12))
+            for beta in (0.0, 1e-8, 0.7, 1.9, 1e3):
+                table = partial_pressures(hull, beta)
+                assert len(table.prefix) == hull.m + 1 and table.prefix[0] == 0.0
+                for k in range(1, hull.m + 1):
+                    assert table.prefix[k] == table.prefix[k - 1] + table.phi[k - 1]
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

@@ -217,6 +217,15 @@ class TestNonHier:
         for row in rows:
             assert float(row[3]) == pytest.approx(float(row[5]), abs=1e-10)
 
+    def test_rounded_tie_gives_the_one_round_order(self, tmp_path):
+        path, out = tmp_path / "nh-tie.json", tmp_path / "nh-tie.csv"
+        path.write_text(json.dumps({"n": 2, "L": [0.5, 0.5],
+                                    "weights": {"2": 0.5, "1": 1 / 6, "1,2": 1 / 3}}))
+        assert main(["nonhier", "--model", str(path), "--beta", "0.5:2.5:5",
+                     "--gamma", "0:2:5", "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        assert len(rows) == 25 and {row[header.index("greedy_order")] for row in rows} == {"1|2"}
+
 
 class TestVerify:
     def test_pass_and_fail_paths(self, models, tmp_path):

@@ -191,6 +191,13 @@ class TestGreedyChain:
         assert hull.m == 1 and kink_sets == (mask_of([1, 2]),)
         assert len(transition_scan(hull, 1.2)) == 1
 
+    def test_rounded_tie_takes_the_union_in_one_round(self):
+        # the slope of {1,2} rounds to just below that of {2}; within 1e-12
+        # relative they tie, and the larger set wins
+        model = NonHierModel.from_subsets([0.5, 0.5], {(2,): 0.5, (1,): 1 / 6, (1, 2): 1 / 3})
+        for chain in (greedy_chain(model), scan_greedy_chain(model)):
+            assert chain.order == (1, 2) and chain.sets == (mask_of([1]), mask_of([1, 2]))
+
     def test_hierarchical_special_case_recovers_identity_chain(self, rng):
         # weights only on prefixes {1..k}: the model is already hierarchical
         for n in (2, 3, 4):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tfglass import (
     BlockPhase,
@@ -24,13 +25,15 @@ from tfglass import (
 )
 from tfglass import classical, quantum
 from tfglass.classical import partial_pressures
-from tfglass.model import LN2, ln_2cosh
+from tfglass.model import LN2, FieldLaw, hull_from_points, ln_2cosh
 
-from conftest import random_field, random_spec
+from conftest import random_field, random_spec, step_specs
 from oracles import (
     GREM_QUANTUM_B12_G1,
     REM_GAMMA_C_B1,
     kink_cut_pressure,
+    loop_classical_pressure,
+    loop_qgrem_pressure,
     mp_gamma_c,
     mp_qgrem,
 )
@@ -428,3 +431,71 @@ def test_warm_cache_matches_cold_bitwise():
                 assert qgrem_pressure(hull, beta, field) == cold(qgrem_pressure, hull, beta, field)
                 assert magnetization(hull, beta, gamma) == cold(magnetization, hull, beta, gamma)
             assert transition_scan(hull, beta, **scan_kw) == cold(transition_scan, hull, beta, **scan_kw)
+
+
+EXTREME_BETAS = (0.0, 1e-8, 0.5, 1.2, 2.5, 1e3)
+
+
+def random_hull(rng, rounded_runs):
+    """A hull of 1-50 segments with random kinks and falling slopes (the last
+    one flat now and then).  With ``rounded_runs`` every segment is given as
+    a run of 1-4 breakpoints, collinear before rounding."""
+    m = int(rng.integers(1, 51))
+    xs = np.cumsum(rng.dirichlet(np.ones(m)))
+    slopes = np.sort(rng.uniform(0.0, 3.0, m))[::-1]
+    if m > 1 and rng.random() < 0.2:
+        slopes[-1] = 0.0
+    values = np.cumsum(slopes * np.diff(xs, prepend=0.0))
+    xs, values = xs / xs[-1], values / values[-1]
+    xs[-1] = values[-1] = 1.0
+    points, x0, v0 = [], 0.0, 0.0
+    for x1, v1 in zip(xs, values):
+        steps = int(rng.integers(1, 5)) if rounded_runs else 1
+        points += [(x0 + (x1 - x0) * j / steps, v0 + (v1 - v0) * j / steps) for j in range(1, steps)]
+        points.append((x1, v1))
+        x0, v0 = x1, v1
+    return hull_from_points(points)
+
+
+def extreme_fields(rng, hull, beta):
+    """Constant fields at every critical field, one ulp either side and at
+    random strengths, then Gaussian and discrete laws."""
+    gammas = list(rng.uniform(0.0, 3.0, 4))
+    if beta > 0.0:
+        for gc in qgrem_critical_fields(hull, beta):
+            gammas += [gc, math.nextafter(gc, math.inf)] + ([math.nextafter(gc, 0.0)] if gc > 0.0 else [])
+    laws = [FieldSpec.constant(g) for g in gammas]
+    laws += [FieldSpec.gaussian(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 1.5))),
+             FieldSpec.discrete(list(zip(rng.uniform(-2.0, 2.0, 3), rng.dirichlet(np.ones(3)))))]
+    return laws
+
+
+def assert_cell_is_the_summation_loop(hull, beta, field):
+    value, k, y_k = loop_qgrem_pressure(hull, beta, field)
+    res = qgrem_pressure(hull, beta, field)
+    phases = tuple(BlockPhase.CLASSICAL if l < k else BlockPhase.PARAMAGNETIC for l in range(hull.m))
+    assert (res.value.hex(), res.argmax, res.block_phases) == (value.hex(), k, phases)
+    qres = qcrem_pressure(hull, beta, field)
+    assert (qres.value.hex(), qres.argmax.hex()) == (value.hex(), y_k.hex())
+    if beta > 0.0 and field.law is FieldLaw.CONSTANT:
+        m_z = (1.0 - y_k) * math.tanh(beta * field.gamma)
+        assert magnetization(hull, beta, field.gamma).hex() == m_z.hex()
+
+
+class TestPrefixSums:
+    """A cell reads phi_1 + ... + phi_K off the table's prefix sums: the same
+    additions in the same order as the summation loop, bit for bit."""
+
+    def test_cell_path_matches_the_summation_loop_at_the_extremes(self, rng):
+        for i in range(24):
+            hull = random_hull(rng, rounded_runs=i % 2 == 1)
+            for beta in EXTREME_BETAS:
+                table = partial_pressures(hull, beta)
+                assert classical_pressure(hull, beta).hex() == table.prefix[-1].hex()
+                assert table.prefix[-1].hex() == loop_classical_pressure(hull, beta).hex()
+                for field in extreme_fields(rng, hull, beta):
+                    assert_cell_is_the_summation_loop(hull, beta, field)
+
+    @given(step_specs(max_blocks=8), st.floats(1e-8, 1e3), st.floats(0.0, 5.0))
+    def test_matches_the_summation_loop_for_beta_from_1e_8_to_1e3(self, spec, beta, gamma):
+        assert_cell_is_the_summation_loop(concave_hull(spec), beta, FieldSpec.constant(gamma))
