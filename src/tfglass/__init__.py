@@ -17,7 +17,6 @@ from .model import (
     ProfileKind,
     concave_hull,
     paramagnetic_pressure,
-    right_derivative,
     sample_weights,
 )
 from .nonhier import (

@@ -112,11 +112,6 @@ class DistributionSpec:
         return cls(ProfileKind.STEP, ((1.0, 1.0),))
 
     @property
-    def jump_heights(self) -> tuple[float, ...]:
-        vals = [v for _, v in self.points]
-        return tuple(np.diff([0.0] + vals))
-
-    @property
     def total(self) -> float:
         return self.points[-1][1]
 
@@ -231,18 +226,6 @@ def concave_hull(spec: DistributionSpec) -> ConcaveHull:
     {(0,0)} + spec.points.
     """
     return hull_from_points(spec.points)
-
-
-def right_derivative(hull: ConcaveHull, x: float) -> float:
-    """Right derivative of the envelope at x in [0, span).
-
-    Piecewise constant and non-increasing: at a kink y_l it returns the slope
-    of the segment starting there.
-    """
-    if not 0.0 <= x < hull.span:
-        raise DomainError(f"x={x} outside [0, {hull.span})")
-    i = bisect_right(hull.support, x)
-    return hull.slopes[i]
 
 
 class FieldLaw(enum.Enum):

@@ -17,8 +17,8 @@ formula; D is the round set at the winning cut); no chain is enumerated.
 
 Subsets are bitmasks over blocks 0..n-1 (bit k = block k+1 of the 1-based
 file format).  `greedy_reduction` reads weights and lengths from tables over
-all 2^n masks, one vectorised argmax per round; it is gated at n <= 20, like
-`sample_instance`'s N, where it takes under a second.
+all 2^n masks, one vectorised slope scan per round; it is gated at n <= 20,
+like `sample_instance`'s N, where it takes under a second.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ import numpy as np
 
 from .classical import classical_pressure
 from .errors import CapacityError, ValidationError
-from .model import ConcaveHull, FieldSpec, _json_number, _json_numbers, hull_from_points
+from .model import _SUM_TOL, ConcaveHull, FieldSpec, _json_number, _json_numbers, hull_from_points
 from .quantum import qgrem_pressure
 
 GREEDY_MAX_BLOCKS = 20
-
-_SUM_TOL = 1e-12
 
 
 def mask_of(indices) -> int:
@@ -227,16 +225,15 @@ def greedy_reduction(model: NonHierModel) -> tuple[Chain, ConcaveHull, tuple[int
     Starting from the empty set, each round picks the strict superset S of the
     current set C maximizing the incremental slope
     (weight inside S - weight inside C) / (length of S - length of C);
-    slopes within _SUM_TOL relative of the maximum tie, and ties prefer the
-    larger set (the union of the tied sets, in exact arithmetic), then the
-    lexicographically smallest index tuple.  The new blocks of each round
-    join the chain in ascending order, completing the support sets to unit
-    steps.
+    slopes within _SUM_TOL relative of the maximum tie, and the round takes
+    the union of the tied sets: the weight inside S is supermodular in S and
+    the length modular, so in exact arithmetic the maximizers are closed
+    under union, and their union is the maximal maximizer.  The new blocks
+    of each round join the chain in ascending order, completing the support
+    sets to unit steps.
 
-    Weight, length, size and tie-break rank of every mask sit in tables, so
-    a round is one slope vector over the strict supersets and one lexsort of
-    its maximizers.  The rank puts block k+1 on bit n-1-k: at equal size the
-    larger rank has the lexicographically smaller index tuple.
+    Weight and length of every mask sit in tables, so a round is one slope
+    vector over the strict supersets and one OR over its maximizers.
 
     Maximizing the marginal slope (rather than the total mean slope of the
     union) is what makes the induced envelope pass through every round's
@@ -252,14 +249,12 @@ def greedy_reduction(model: NonHierModel) -> tuple[Chain, ConcaveHull, tuple[int
     if n > GREEDY_MAX_BLOCKS:
         raise CapacityError(f"greedy chain gated at n <= {GREEDY_MAX_BLOCKS} (got n = {n})")
     atilde, lengths = model.cumulative_weights(), subset_sums(model.block_lengths)
-    size, rank = subset_sums([1] * n), subset_sums([1 << (n - 1 - k) for k in range(n)])
     masks = np.arange(1 << n)
     current, order, rounds = 0, [], {}
     while current != model.full_mask:
         cand = masks[(masks & current) == current][1:]  # strict supersets; [0] is current
         slope = (atilde[cand] - atilde[current]) / (lengths[cand] - lengths[current])
-        top = cand[slope >= (1.0 - _SUM_TOL) * slope.max()]
-        best = int(top[np.lexsort((rank[top], size[top]))[-1]])
+        best = int(np.bitwise_or.reduce(cand[slope >= (1.0 - _SUM_TOL) * slope.max()]))
         order.extend(indices_of(best & ~current))
         rounds[float(lengths[best])] = best
         current = best

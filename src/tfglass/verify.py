@@ -10,7 +10,7 @@ written straight into CSR, is diagonal in the energies with -b_j connecting
 configurations that differ by one spin flip.
 
 Two evaluation paths coexist.  The exact path diagonalizes densely and is
-gated at N <= 14.  The stochastic path needs only matrix-vector products and
+gated at N <= 13.  The stochastic path needs only matrix-vector products and
 is gated at N <= 20: per Rademacher probe, Lanczos quadrature brackets
 z^T exp(-beta H) z between a Gauss and a Gauss-Radau rule, to TRUNCATION_EPS
 per spin.  Convergence and concentration drivers pick the path by dimension.
@@ -40,7 +40,6 @@ from .model import (
     FieldSpec,
     ProfileKind,
     concave_hull,
-    ln_2cosh,
     sample_weights,
 )
 from .nonhier import NonHierModel, indices_of, quantum_nonhier_pressure
@@ -49,7 +48,7 @@ from .quantum import qgrem_pressure
 if TYPE_CHECKING:
     import scipy.sparse
 
-EXACT_MAX_N = 14
+EXACT_MAX_N = 13  # one REM exact_pressure at N = 13: 72 s, 1,080 MB peak RSS
 STOCH_MAX_N = 20
 STACK_BYTES = 8 << 20  # bytes of dense Hamiltonians per eigensolve call: one N = 10 matrix
 TILE_COLS = 32  # probe columns per Lanczos tile: 1 MB per vector block at N = 12
@@ -160,10 +159,6 @@ def sparse_hamiltonian(inst: FiniteInstance) -> scipy.sparse.csr_matrix:
     return H
 
 
-def dense_hamiltonian(inst: FiniteInstance) -> np.ndarray:
-    return sparse_hamiltonian(inst).toarray()
-
-
 def _check_exact(inst: FiniteInstance):
     if inst.N > EXACT_MAX_N:
         raise CapacityError(
@@ -190,34 +185,9 @@ def _pressure_from_levels(levels: np.ndarray, beta: float, N: int):
     return logsumexp(-beta * levels, axis=-1) / N
 
 
-def exact_spectrum(inst: FiniteInstance) -> np.ndarray:
-    return _spectra([inst])[0]
-
-
 def exact_pressure(inst: FiniteInstance, beta: float) -> float:
     """(1/N) ln Tr exp(-beta H) from the full spectrum."""
     return float(_pressure_from_levels(_spectra([inst]), beta, inst.N)[0])
-
-
-def diagonal_pressure(inst: FiniteInstance, beta: float) -> float:
-    """Field-free lower bound: (1/N) ln sum_sigma exp(-beta U(sigma))."""
-    return float(_pressure_from_levels(inst.potential, beta, inst.N))
-
-
-def field_only_pressure(inst: FiniteInstance, beta: float) -> float:
-    """Gibbs lower bound from the pure-field trial state.
-
-    The product state of the field-only Hamiltonian has a uniform diagonal in
-    the configuration basis, so the variational principle gives exactly
-
-        Phi_N >= (1/N) [ sum_j ln 2 cosh(beta b_j) - beta * mean_sigma U(sigma) ].
-
-    The potential average is the finite-size cross term; it vanishes as
-    N -> infinity but cannot be dropped at finite N (a constant shift of U
-    shifts Phi_N by exactly that amount).
-    """
-    cross = beta * float(inst.potential.mean())
-    return (float(np.sum(ln_2cosh(beta * inst.field_weights))) - cross) / inst.N
 
 
 @dataclass(frozen=True)
@@ -272,6 +242,7 @@ def _lanczos_rules(H, q, node, lo, betas, budget, first_check):
         return np.einsum("ij,ij->j", x, y)
 
     dim, cols = q.shape
+    chunk = 1 << 14
     log_norm = np.log(dots(q, q))
     q /= np.exp(0.5 * log_norm)
     q_prev, b = np.zeros_like(q), np.zeros(cols)
@@ -282,7 +253,8 @@ def _lanczos_rules(H, q, node, lo, betas, budget, first_check):
         q_prev *= -b
         csr_matvecs(dim, dim, cols, H.indptr, H.indices, H.data, q.ravel(), q_prev.ravel())
         a = dots(q, q_prev)
-        q_prev -= a * q
+        for i in range(0, dim, chunk):  # by rows: a * q allocates one chunk, not a full block
+            q_prev[i:i + chunk] -= a * q[i:i + chunk]
         b = np.sqrt(dots(q_prev, q_prev))
         alphas.append(a)
         offs.append(b)
@@ -329,7 +301,7 @@ def _stochastic_traces(inst, betas, probes, seed):
     done = 0
     while done < probes:
         p = min(block, probes - done)
-        Z = rng.integers(0, 2, size=(dim, p)).astype(float) * 2.0 - 1.0
+        Z = 2.0 * rng.integers(0, 2, size=(dim, p)) - 1.0  # two (dim, p) arrays at most, not three
         for j in range(0, p, TILE_COLS):
             tile = np.ascontiguousarray(Z[:, j:j + TILE_COLS])
             g, r, k = _lanczos_rules(H, tile, node, lo, betas, TRUNCATION_EPS * inst.N, first_check)
@@ -340,6 +312,7 @@ def _stochastic_traces(inst, betas, probes, seed):
             log_r.append(r)
             steps = max(steps, k)
         done += p
+        del Z, tile  # before the next draw, so that two blocks are never live at once
     return lo, np.hstack(log_g), np.hstack(log_r), steps
 
 
@@ -372,7 +345,7 @@ def stochastic_pressure(
 def _exp_diag(inst: FiniteInstance, beta: float, anchor: float | None = None):
     """Diagonal of exp(-beta (H - anchor)) via a full eigendecomposition."""
     _check_exact(inst)
-    w, V = np.linalg.eigh(dense_hamiltonian(inst))
+    w, V = np.linalg.eigh(sparse_hamiltonian(inst).toarray())
     if anchor is None:
         anchor = float(w.min())
     return (V * V) @ np.exp(-beta * (w - anchor)), anchor

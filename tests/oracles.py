@@ -10,20 +10,27 @@ Lanczos quadrature), the quadratic-form oracle takes each probe's
 z^T exp(-beta (H - lo)) z from a dense eigendecomposition, the dense oracle
 diagonalizes one matrix at a time with scipy, and the non-hierarchical oracles
 search every chain instead of building the greedy one, build it by a
-scalar scan over supersets instead of table lookups, or absorb a chain's
-weights step by step instead of in one pass.  The summation oracles add
+scalar scan over supersets instead of table lookups (ranking a round's
+tied sets by size and index tuple instead of taking their union), or
+absorb a chain's weights step by step instead of in one pass.  The summation oracles add
 phi_1..phi_K one by one in a loop, as the package did before its segment
 table carried prefix sums.  The exact hull scans
 `fractions.Fraction` points with no tolerance, and the disorder and
 Hamiltonian references are the builders the package used before one
 sampler served both model kinds: the hierarchical cascade by repetition,
 the subset sampler by per-block bit extraction, and the COO detour to CSR.
+
+The helpers at the end are conveniences that only tests call: the dense
+spectrum and Hamiltonian, the two Gibbs lower bounds of a finite instance,
+the envelope's right derivative and a step profile's jump heights.  Unlike
+the oracles above they run on the package's own paths.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath as mp
@@ -40,8 +47,10 @@ from tfglass import (
     paramagnetic_pressure,
     partial_pressures,
 )
-from tfglass.model import ProfileKind
+from tfglass.errors import DomainError
+from tfglass.model import ProfileKind, ln_2cosh
 from tfglass.nonhier import ReducedGrem, indices_of
+from tfglass.verify import _pressure_from_levels, _spectra, sparse_hamiltonian
 
 mp.mp.dps = 40
 
@@ -434,3 +443,48 @@ GREM_QUANTUM_B12_G1 = 1.4792962717516945     # K=1 cut
 REM_GAMMA_C_B1 = 1.0850385019483878          # arcosh(exp(1/2))
 REM_TRUNCATED_B12_Z05 = 0.7064460135092848
 
+
+def exact_spectrum(inst):
+    return _spectra([inst])[0]
+
+
+def dense_hamiltonian(inst):
+    return sparse_hamiltonian(inst).toarray()
+
+
+def diagonal_pressure(inst, beta):
+    """Field-free lower bound: (1/N) ln sum_sigma exp(-beta U(sigma))."""
+    return float(_pressure_from_levels(inst.potential, beta, inst.N))
+
+
+def field_only_pressure(inst, beta):
+    """Gibbs lower bound from the pure-field trial state.
+
+    The product state of the field-only Hamiltonian has a uniform diagonal in
+    the configuration basis, so the variational principle gives exactly
+
+        Phi_N >= (1/N) [ sum_j ln 2 cosh(beta b_j) - beta * mean_sigma U(sigma) ].
+
+    The potential average is the finite-size cross term; it vanishes as
+    N -> infinity but cannot be dropped at finite N (a constant shift of U
+    shifts Phi_N by exactly that amount).
+    """
+    cross = beta * float(inst.potential.mean())
+    return (float(np.sum(ln_2cosh(beta * inst.field_weights))) - cross) / inst.N
+
+
+def right_derivative(hull, x):
+    """Right derivative of the envelope at x in [0, span).
+
+    Piecewise constant and non-increasing: at a kink y_l it returns the slope
+    of the segment starting there.
+    """
+    if not 0.0 <= x < hull.span:
+        raise DomainError(f"x={x} outside [0, {hull.span})")
+    i = bisect_right(hull.support, x)
+    return hull.slopes[i]
+
+
+def jump_heights(spec):
+    vals = [v for _, v in spec.points]
+    return tuple(np.diff([0.0] + vals))

@@ -35,13 +35,15 @@ from tfglass import (
 )
 from tfglass.model import ln_2cosh
 from tfglass.quantum import BlockPhase
-from tfglass.verify import diagonal_pressure, exact_pressure, field_only_pressure
+from tfglass.verify import exact_pressure
 
 from conftest import random_nonhier, random_spec
 from oracles import (
     GREM_QUANTUM_B12_G1,
     REM_GAMMA_C_B1,
     REM_PRESSURE_B12,
+    diagonal_pressure,
+    field_only_pressure,
 )
 
 import itertools

@@ -133,6 +133,13 @@ class TestErrors:
                    "--gamma", "0.5", "--out", "-"])
         assert rc == 4
 
+    def test_exact_above_the_dense_gate_exits_with_capacity(self, models, capsys):
+        rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
+                   "--beta", "1.2", "--N", "14", "--replicas", "2", "--seed", "1",
+                   "--method", "exact", "--out", "-"])
+        assert rc == 4
+        assert last_error(capsys)["error"] == "capacity"
+
     @pytest.mark.parametrize("argv", [
         ["pressure", "--beta", "nan", "--gamma", "1.0"],
         ["pressure", "--beta", "1.0", "--gamma", "inf"],

@@ -16,13 +16,19 @@ from tfglass import (
     concave_hull,
     paramagnetic_pressure,
     qgrem_pressure,
-    right_derivative,
     sample_weights,
 )
 from tfglass.model import hull_from_points, ln_2cosh
 
 from conftest import random_spec, step_specs
-from oracles import PARA_B12_G1, brute_force_hull, exact_hull_vertices, mp_gaussian_paramagnetic
+from oracles import (
+    PARA_B12_G1,
+    brute_force_hull,
+    exact_hull_vertices,
+    jump_heights,
+    mp_gaussian_paramagnetic,
+    right_derivative,
+)
 
 # four runs of breakpoints, each collinear before rounding: slopes 108/61, 72/61, 36/61, 0
 ROUNDED_RUNS = (
@@ -47,7 +53,7 @@ def rational_collinear_runs(rng):
 class TestDistributionSpec:
     def test_step_accessors(self):
         spec = DistributionSpec.from_jumps([0.7, 0.3], [0.5, 1.0])
-        assert spec.jump_heights == pytest.approx((0.7, 0.3))
+        assert jump_heights(spec) == pytest.approx((0.7, 0.3))
         assert spec.value_at(0.2) == 0.0
         assert spec.value_at(0.5) == pytest.approx(0.7)
         assert spec.value_at(0.75) == pytest.approx(0.7)

@@ -24,6 +24,7 @@ from tfglass import (
     quantum_nonhier_pressure,
     transition_scan,
 )
+from tfglass.model import hull_from_points
 from tfglass.nonhier import indices_of, mask_of, subset_sums
 
 from conftest import random_field, random_nonhier
@@ -323,9 +324,41 @@ class TestGreedyChainTables:
             for _ in range(8):
                 for model in _tie_heavy_models(rng, n):
                     assert greedy_chain(model) == scan_greedy_chain(model)
-        for n in (12, 14):
+        for n in (12, 14, 16):
             for model in _tie_heavy_models(rng, n):
                 assert greedy_chain(model) == scan_greedy_chain(model)
+
+    def test_round_set_holds_every_tied_superset(self, rng):
+        # a round's tied sets are the strict supersets of the previous round
+        # set whose marginal slope lies within 1e-12 relative of the maximum.
+        # Their union lies in that band too, so it is the largest tied set and
+        # no tie-break among them is left to decide; the greedy chain runs
+        # through these unions, each completed in ascending order.  Slopes
+        # come from the loop tables, not the package's.
+        models = [m for n in range(1, 11) for _ in range(4) for m in _tie_heavy_models(rng, n)]
+        models += [random_nonhier(rng, max_blocks=8) for _ in range(40)]
+        for model in models:
+            chain, hull, kink_sets = greedy_reduction(model)
+            atilde = loop_cumulative_weights(model)
+            current, rounds = 0, []
+            while current != model.full_mask:
+                rest = model.full_mask & ~current
+                slope = {current | sub: (atilde[current | sub] - atilde[current])
+                         / (model.subset_length(current | sub) - model.subset_length(current))
+                         for sub in range(1, rest + 1) if sub & ~rest == 0}
+                band = (1.0 - 1e-12) * max(slope.values())
+                union = 0
+                for cand, s in slope.items():
+                    if s >= band:
+                        union |= cand
+                assert slope[union] >= band
+                assert union in chain.sets
+                rounds.append(union)
+                current = union
+            assert chain == Chain.from_order(
+                [i for prev, r in zip([0] + rounds, rounds) for i in indices_of(r & ~prev)])
+            assert set(kink_sets) <= set(rounds)
+            assert hull == hull_from_points([(model.subset_length(r), atilde[r]) for r in rounds])
 
     def test_reduction_hull_is_the_greedy_chain_hull(self, rng):
         # the round points alone span the envelope of every chain set, and

@@ -28,10 +28,6 @@ from tfglass.verify import (
     FiniteInstance,
     StochasticPressure,
     _stochastic_traces,
-    dense_hamiltonian,
-    diagonal_pressure,
-    exact_spectrum,
-    field_only_pressure,
     sparse_hamiltonian,
 )
 
@@ -39,7 +35,11 @@ from oracles import (
     absolute_chebyshev_degree,
     cascade_potential,
     coo_hamiltonian,
+    dense_hamiltonian,
     dense_quadratic_forms,
+    diagonal_pressure,
+    exact_spectrum,
+    field_only_pressure,
     forward_stochastic_pressure,
     scipy_exact_pressure,
     subset_potential,
@@ -213,7 +213,7 @@ class TestExactPressure:
         assert exact_pressure(inst, 0.0) == pytest.approx(LN2, abs=1e-13)
 
     def test_capacity_gate(self):
-        inst = sample_instance(REM_SPEC, CONST1, 15, 0)
+        inst = sample_instance(REM_SPEC, CONST1, 14, 0)
         with pytest.raises(CapacityError):
             exact_pressure(inst, 1.0)
 
