@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DomainError
@@ -36,17 +36,12 @@ class PartialPressureTable:
     phi: tuple[float, ...]
     freeze_beta: tuple[float, ...]
     frozen: tuple[bool, ...]
-    lengths: tuple[float, ...]
+    per_length: tuple[float, ...]  # phi_l / L_l, strictly decreasing in l
     prefix: tuple[float, ...]  # 0.0, phi_1, phi_1 + phi_2, ...: added left to right
 
     @property
     def total(self) -> float:
         return self.prefix[-1]
-
-    @cached_property
-    def per_length(self) -> tuple[float, ...]:
-        """phi_l / L_l, the per-length contributions (strictly decreasing in l)."""
-        return tuple(p / l for p, l in zip(self.phi, self.lengths))
 
 
 def partial_pressures(hull: ConcaveHull, beta: float) -> PartialPressureTable:
@@ -63,18 +58,12 @@ def partial_pressures(hull: ConcaveHull, beta: float) -> PartialPressureTable:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _table(hull: ConcaveHull, beta: float) -> PartialPressureTable:
-    phi, fbeta, frozen = [], [], []
-    for a_l, L_l, g_l in zip(hull.increments, hull.lengths, hull.slopes):
-        b_l = math.sqrt(_TWO_LN2 / g_l) if g_l > 0.0 else math.inf
-        is_frozen = beta > b_l
-        if is_frozen:
-            phi.append(beta * math.sqrt(_TWO_LN2 * a_l * L_l))
-        else:
-            phi.append(0.5 * beta * beta * a_l + L_l * LN2)
-        fbeta.append(b_l)
-        frozen.append(is_frozen)
-    return PartialPressureTable(beta, tuple(phi), tuple(fbeta), tuple(frozen), hull.lengths,
-                                tuple(accumulate(phi, initial=0.0)))
+    fbeta = tuple([math.sqrt(_TWO_LN2 / g_l) if g_l > 0.0 else math.inf for g_l in hull.slopes])
+    frozen = tuple([beta > b_l for b_l in fbeta])
+    phi = tuple([beta * math.sqrt(_TWO_LN2 * a_l * L_l) if is_frozen else 0.5 * beta * beta * a_l + L_l * LN2
+                 for a_l, L_l, is_frozen in zip(hull.increments, hull.lengths, frozen)])
+    per_length = tuple([p / L_l for p, L_l in zip(phi, hull.lengths)])
+    return PartialPressureTable(beta, phi, fbeta, frozen, per_length, tuple(accumulate(phi, initial=0.0)))
 
 
 def classical_pressure(hull: ConcaveHull, beta: float) -> float:

@@ -76,8 +76,11 @@ def _write_csv(out: str, header, rows, manifest: str):
     text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:  # a missing directory, a directory, no permission: like an unreadable input
+        raise ValidationError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def _manifest(args) -> str:
@@ -327,13 +330,13 @@ def cmd_verify(args) -> int:
                 + " vs bounds " + "/".join(_fmt(b + s) for b, s in zip(rep.bounds, rep.slacks)),
             ))
         else:
-            print(f"note: concentration check skipped (replicas {args.replicas} < 200)")
+            print(f"note: concentration check skipped (replicas {args.replicas} < 200)", file=sys.stderr)
 
     _write_csv(args.out, ("replica", "N", "beta", "gamma_or_law", "phi_N"),
                rows, _manifest(args))
     ok = True
     for name, passed, detail in checks:
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}", file=sys.stderr)
         ok = ok and passed
     return EXIT_OK if ok else EXIT_ASSERTION
 

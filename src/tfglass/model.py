@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -131,36 +131,35 @@ class DistributionSpec:
 class ConcaveHull:
     """Concave envelope of a profile, as segments between its kinks.
 
-    ``support`` holds y_1 < ... < y_m (y_0 = 0 implicit); slopes are strictly
-    decreasing because collinear breakpoints are merged into one segment.
-    Each length is the kink spacing and slope * length the increment, to
-    within 1e-12.  For reduced models the domain may end before 1: span = y_m.
+    The fields are the kinks y_1 < ... < y_m (y_0 = 0 implicit) and the
+    increments abar_l.  The lengths L_l = y_l - y_{l-1} and the slopes
+    gamma_l = abar_l / L_l are derived once, at construction; the slopes are
+    strictly decreasing because collinear breakpoints are merged into one
+    segment.  For reduced models the domain may end before 1: span = y_m.
     """
 
     support: tuple[float, ...]
     increments: tuple[float, ...]
-    lengths: tuple[float, ...]
-    slopes: tuple[float, ...]
 
     def __post_init__(self):
-        for f in fields(self):  # tuples, so that partial_pressures can key its cache on the hull
-            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
-        m = len(self.support)
-        if m == 0 or not (len(self.increments) == len(self.lengths) == len(self.slopes) == m):
+        # tuples, so that partial_pressures can key its cache on the hull
+        support, increments = tuple(self.support), tuple(self.increments)
+        if not support or len(increments) != len(support):
             raise ValidationError("hull fields must be non-empty and of equal length")
-        if not all(map(math.isfinite, self.support + self.increments + self.lengths + self.slopes)):
+        if not all(map(math.isfinite, support + increments)):
             raise ValidationError("hull fields must be finite")
-        if any(l <= 0 for l in self.lengths):
-            raise ValidationError("segment lengths must be positive")
-        if any(a < 0 for a in self.increments):
+        lengths = tuple(y - y0 for y0, y in zip((0.0,) + support, support))
+        if any(l <= 0 for l in lengths):
+            raise ValidationError("kinks must be positive and strictly increasing")
+        if any(a < 0 for a in increments):
             raise ValidationError("increments must be non-negative")
-        if any(b >= a for a, b in zip(self.slopes, self.slopes[1:])):
-            raise ValidationError("hull slopes must be strictly decreasing")
-        spacing = zip(self.lengths, self.support, (0.0,) + self.support, self.slopes, self.increments)
-        if any(abs(L - (y - y0)) > _SUM_TOL or abs(g * L - a) > _SUM_TOL for L, y, y0, g, a in spacing):
-            raise ValidationError("hull lengths must be the kink spacing, and slope * length the increment")
-        # hashed once here, not on every partial_pressures memo lookup
-        object.__setattr__(self, "_hash", hash((self.support, self.increments, self.lengths, self.slopes)))
+        slopes = tuple(a / L for a, L in zip(increments, lengths))
+        if not all(map(math.isfinite, slopes)) or any(b >= a for a, b in zip(slopes, slopes[1:])):
+            raise ValidationError("hull slopes must be finite and strictly decreasing")
+        # hashed once, not per memo lookup; object.__setattr__ keeps attribute reads fast, vars() would not
+        for name, value in (("support", support), ("increments", increments), ("lengths", lengths),
+                            ("slopes", slopes), ("_hash", hash((support, increments)))):
+            object.__setattr__(self, name, value)
 
     def __hash__(self):
         return self._hash
@@ -209,13 +208,8 @@ def hull_from_points(points) -> ConcaveHull:
             else:
                 break
         verts.append((x2, v2))
-    support, increments, lengths, slopes = [], [], [], []
-    for (x0, v0), (x1, v1) in zip(verts, verts[1:]):
-        support.append(x1)
-        increments.append(v1 - v0)
-        lengths.append(x1 - x0)
-        slopes.append((v1 - v0) / (x1 - x0))
-    return ConcaveHull(tuple(support), tuple(increments), tuple(lengths), tuple(slopes))
+    xs, vs = zip(*verts)  # the hull is the stack's x's and its rises
+    return ConcaveHull(xs[1:], tuple([b - a for a, b in zip(vs, vs[1:])]))
 
 
 def concave_hull(spec: DistributionSpec) -> ConcaveHull:

@@ -41,6 +41,8 @@ def mask_of(indices) -> int:
     """Bitmask of 1-based block indices."""
     mask = 0
     for i in indices:
+        if int(i) < 1:
+            raise ValidationError(f"block indices are 1-based, got {i!r}")
         mask |= 1 << (int(i) - 1)
     return mask
 
@@ -51,16 +53,21 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple([k + 1 for k in range(int(mask).bit_length()) if mask >> k & 1])
 
 
-def subset_sums(values) -> np.ndarray:
-    """table[S] = sum of values[k] over the bits k of S, for every mask S.
+def _subset_sums(n: int, values: Mapping[int, float]) -> np.ndarray:
+    """table[S] = sum of values[I] over the masks I inside S, for every mask S.
 
-    Doubling adds the blocks in ascending order, as `subset_length` does, so
-    the block-length table is bitwise equal to it.
+    Zeta transform, bit 0 first: pass k adds each set without bit k into the
+    same set with it, through a (rest, bit k, lower bits) view of the table.
+    Fed the singletons, it adds the blocks of S in ascending order, as
+    `subset_length` does, so the block-length table is bitwise equal to it.
     """
-    table = np.zeros(1)
-    for v in values:
-        table = np.concatenate([table, table + v])
-    return table
+    acc = np.zeros(1 << n)
+    for mask, a in values.items():
+        acc[mask] = a
+    for k in range(n):
+        cube = acc.reshape(-1, 2, 1 << k)
+        cube[:, 1] += cube[:, 0]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -135,14 +142,11 @@ class NonHierModel:
 
     def cumulative_weights(self) -> np.ndarray:
         """atilde[S] = sum of a_I over I subset of S, for every mask S."""
-        acc = np.zeros(1 << self.n)
-        for mask, a in self.weights.items():
-            acc[mask] = a
-        # zeta transform: prefix sums along each bit axis, bit 0 (last axis) first
-        cube = acc.reshape((2,) * self.n)
-        for axis in reversed(range(self.n)):
-            np.cumsum(cube, axis=axis, out=cube)
-        return acc
+        return _subset_sums(self.n, self.weights)
+
+    def subset_lengths(self) -> np.ndarray:
+        """length[S] = sum of the block lengths in S, for every mask S."""
+        return _subset_sums(self.n, {1 << k: l for k, l in enumerate(self.block_lengths)})
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ class Chain:
         """Chain adding the given 1-based block indices one at a time."""
         masks, acc = [], 0
         for i in order:
-            acc |= 1 << (int(i) - 1)
+            acc |= mask_of((i,))
             masks.append(acc)
         return cls(tuple(masks))
 
@@ -248,7 +252,7 @@ def greedy_reduction(model: NonHierModel) -> tuple[Chain, ConcaveHull, tuple[int
     n = model.n
     if n > GREEDY_MAX_BLOCKS:
         raise CapacityError(f"greedy chain gated at n <= {GREEDY_MAX_BLOCKS} (got n = {n})")
-    atilde, lengths = model.cumulative_weights(), subset_sums(model.block_lengths)
+    atilde, lengths = model.cumulative_weights(), model.subset_lengths()
     masks = np.arange(1 << n)
     current, order, rounds = 0, [], {}
     while current != model.full_mask:

@@ -95,7 +95,7 @@ def _cut(hull: ConcaveHull, table: PartialPressureTable, p: float) -> tuple[int,
     that ties with the paramagnet goes paramagnetic.
     """
     k = 0
-    for phi_l, L_l in zip(table.phi, table.lengths):
+    for phi_l, L_l in zip(table.phi, hull.lengths):
         if not phi_l > L_l * p:
             break
         k += 1

@@ -80,6 +80,11 @@ def random_field(rng: np.random.Generator) -> FieldSpec:
     return FieldSpec.empirical(rng.uniform(-2.0, 2.0, int(rng.integers(1, 12))))
 
 
+def float_bits(*columns):
+    """The exact bits of every float in each column (float.hex also tells -0.0 from 0.0)."""
+    return tuple(tuple(float(v).hex() for v in col) for col in columns)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -15,7 +15,9 @@ tied sets by size and index tuple instead of taking their union), or
 absorb a chain's weights step by step instead of in one pass.  The summation oracles add
 phi_1..phi_K one by one in a loop, as the package did before its segment
 table carried prefix sums.  The exact hull scans
-`fractions.Fraction` points with no tolerance, and the disorder and
+`fractions.Fraction` points with no tolerance, the four-list hull is the
+stack scan the package ran while `ConcaveHull` stored lengths and slopes
+as fields (each taken from its two stack vertices), and the disorder and
 Hamiltonian references are the builders the package used before one
 sampler served both model kinds: the hierarchical cascade by repetition,
 the subset sampler by per-block bit extraction, and the COO detour to CSR.
@@ -48,7 +50,7 @@ from tfglass import (
     partial_pressures,
 )
 from tfglass.errors import DomainError
-from tfglass.model import ProfileKind, ln_2cosh
+from tfglass.model import _SUM_TOL, ProfileKind, ln_2cosh
 from tfglass.nonhier import ReducedGrem, indices_of
 from tfglass.verify import _pressure_from_levels, _spectra, sparse_hamiltonian
 
@@ -108,6 +110,32 @@ def exact_hull_vertices(points):
             verts.pop()
         verts.append((x2, v2))
     return verts[1:]
+
+
+def four_list_hull(points):
+    """(support, increments, lengths, slopes) of the envelope, as four lists.
+
+    The stack scan `hull_from_points` ran while `ConcaveHull` stored all four
+    tuples: each length and slope is taken from the two stack vertices it
+    spans, not from the hull's stored kinks and rises.
+    """
+    verts = [(0.0, 0.0)]
+    for x2, v2 in ((float(x), float(v)) for x, v in points):
+        while len(verts) >= 2:
+            (x0, v0), (x1, v1) = verts[-2], verts[-1]
+            if ((x1 - x0) * (v2 - v0) - (v1 - v0) * (x2 - x0) >= 0.0
+                    or (v1 - v0) / (x1 - x0) - (v2 - v1) / (x2 - x1) <= _SUM_TOL * abs(v1 - v0) / (x1 - x0)):
+                verts.pop()
+            else:
+                break
+        verts.append((x2, v2))
+    support, increments, lengths, slopes = [], [], [], []
+    for (x0, v0), (x1, v1) in zip(verts, verts[1:]):
+        support.append(x1)
+        increments.append(v1 - v0)
+        lengths.append(x1 - x0)
+        slopes.append((v1 - v0) / (x1 - x0))
+    return tuple(support), tuple(increments), tuple(lengths), tuple(slopes)
 
 
 def mp_ln2cosh(x):

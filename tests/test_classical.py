@@ -110,7 +110,7 @@ class TestTableMemo:
         assert partial_pressures(GREM, 1.2) == cold
 
     def test_hull_built_from_lists_is_hashable(self):
-        lists = ConcaveHull(*(list(getattr(GREM, f)) for f in ("support", "increments", "lengths", "slopes")))
+        lists = ConcaveHull(list(GREM.support), list(GREM.increments))
         assert lists == GREM and hash(lists) == hash(GREM)
         assert partial_pressures(lists, 0.7) == partial_pressures(GREM, 0.7)
 
@@ -125,6 +125,11 @@ class TestTableMemo:
         table = partial_pressures(GREM, 0.9)
         assert table.per_length is table.per_length
         assert table.total == float(sum(table.phi))
+
+    def test_table_reads_lengths_off_the_hull(self):
+        assert "lengths" not in [f.name for f in dataclasses.fields(classical.PartialPressureTable)]
+        table = partial_pressures(GREM, 0.9)
+        assert table.per_length == tuple(p / L for p, L in zip(table.phi, GREM.lengths))
 
     def test_equal_hulls_share_one_hash_and_one_table(self):
         names = [f.name for f in dataclasses.fields(ConcaveHull)]
@@ -143,7 +148,7 @@ class TestTableMemo:
         assert (info.misses, info.hits, info.currsize) == (1, len(twins), 1)
 
     def test_fields_repr_and_hash_value_are_the_dataclass_ones(self):
-        names = ["support", "increments", "lengths", "slopes"]
+        names = ["support", "increments"]  # lengths and slopes are derived from these
         assert [f.name for f in dataclasses.fields(ConcaveHull)] == names
         shown = ", ".join(f"{name}={getattr(GREM, name)!r}" for name in names)
         assert repr(GREM) == f"ConcaveHull({shown})"

@@ -289,8 +289,49 @@ class TestVerify:
             assert abs(phi - exact_pressure(inst, 8.0)) <= 3.0 * err, r
 
 
+    def test_csv_alone_on_stdout(self, models, capsys):
+        # the skipped-concentration note and the PASS/FAIL lines go to stderr
+        rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
+                   "--beta", "0.8:1.2:2", "--N", "4,5", "--replicas", "3", "--seed", "11",
+                   "--tol-limit-gap", "1", "--out", "-"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("# manifest: config=") and lines[0].endswith(" seed=11")
+        assert lines[1] == "replica,N,beta,gamma_or_law,phi_N"
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == 2 * 2 * 3 and all(len(row) == 5 for row in rows)
+        assert all(float(row[4]) > 0.0 for row in rows)
+        err = captured.err.splitlines()
+        assert sum(line.startswith("note: concentration check skipped") for line in err) == 2
+        assert sum(line.startswith("PASS ") for line in err) == 4
+
+
 def last_error(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with one validation line,
+    like an input file that cannot be read."""
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["pressure", "--model", "{grem2}", "--beta", "1.2", "--gamma", "0:1:2", "--out", "{bad}"],
+        ["phase-diagram", "--model", "{grem2}", "--beta", "1.2", "--gamma", "0:1:3",
+         "--out", "{ok}", "--transitions-out", "{bad}"],
+        ["verify", "--model", "{rem}", "--field", "constant:1.0", "--beta", "1.2", "--N", "4",
+         "--replicas", "3", "--seed", "11", "--tol-limit-gap", "1", "--out", "{bad}"],
+    ], ids=["pressure", "phase-diagram-transitions", "verify"])
+    def test_exits_2_with_one_validation_line(self, models, tmp_path, capsys, argv, target):
+        bad = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        paths = {"grem2": models["grem2"], "rem": models["rem"], "ok": tmp_path / "ok.csv", "bad": bad}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        errors = [json.loads(line) for line in captured.err.splitlines() if line.startswith("{")]
+        assert len(errors) == 1 and errors[0]["error"] == "validation"
+        assert str(bad) in errors[0]["message"]
+        assert captured.out == ""
 
 
 class TestMalformedValues:

@@ -20,11 +20,12 @@ from tfglass import (
 )
 from tfglass.model import hull_from_points, ln_2cosh
 
-from conftest import random_spec, step_specs
+from conftest import float_bits, random_spec, step_specs
 from oracles import (
     PARA_B12_G1,
     brute_force_hull,
     exact_hull_vertices,
+    four_list_hull,
     jump_heights,
     mp_gaussian_paramagnetic,
     right_derivative,
@@ -36,6 +37,17 @@ ROUNDED_RUNS = (
      Fraction(25, 36), Fraction(7, 9), Fraction(17, 18), Fraction(1)],
     [Fraction(k, 61) for k in (12, 16, 32, 46, 50, 52, 55, 61, 61)],
 )
+
+# breakpoints with a collinear run, and the envelope with one segment per run;
+# the second set's values carry the rounding of a computed profile
+COLLINEAR_RUNS = [
+    ([1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6, 1.0], [1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0, 1.0],
+     (1 / 6, 5 / 6, 1.0), (2.0, 1.0, 0.0)),
+    ([0.025, 0.05, 0.075, 0.25, 0.375, 0.475, 0.65, 0.75, 0.775, 1.0],
+     [0.07500000000000001, 0.15000000000000002, 0.17500000000000002, 0.35, 0.475, 0.575,
+      0.75, 0.75, 0.75, 0.75],
+     (0.05, 0.65, 1.0), (3.0, 1.0, 0.0)),
+]
 
 
 def rational_collinear_runs(rng):
@@ -134,26 +146,38 @@ class TestConcaveHull:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ConcaveHull((0.5, 1.0), (0.2, 0.8), (0.5, 0.5), (0.4, 1.6))  # increasing slopes
+            ConcaveHull((0.5, 1.0), (0.2, 0.8))  # increasing slopes 0.4, 1.6
 
-    @pytest.mark.parametrize("fields", [
-        ((0.5, 1.0), (0.7, 0.3), (0.2, 0.2), (3.5, 1.5)),  # lengths are not the kink spacing
-        ((0.5, 1.0), (0.7, 0.3), (0.5, 0.5), (1.4, 0.5)),  # slope * length is not the increment
+    @pytest.mark.parametrize("support, increments", [
+        ((0.5, 0.5), (0.7, 0.3)),  # a repeated kink: zero length
+        ((0.0, 1.0), (0.7, 0.3)),  # a kink at 0
+        ((5e-324, 1.0), (1.0, 0.0)),  # the slope 1 / 5e-324 overflows
+        ((0.5, 1.0), (0.7,)),  # one increment short
+        ((), ()),
     ])
-    def test_inconsistent_fields_rejected(self, fields):
+    def test_kinks_must_give_positive_lengths_and_finite_slopes(self, support, increments):
         with pytest.raises(ValidationError):
-            ConcaveHull(*fields)
+            ConcaveHull(support, increments)
 
-    # breakpoints with a collinear run, and the envelope with one segment per run;
-    # the second set's values carry the rounding of a computed profile
-    @pytest.mark.parametrize("xs, values, support, slopes", [
-        ([1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6, 1.0], [1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0, 1.0],
-         (1 / 6, 5 / 6, 1.0), (2.0, 1.0, 0.0)),
-        ([0.025, 0.05, 0.075, 0.25, 0.375, 0.475, 0.65, 0.75, 0.775, 1.0],
-         [0.07500000000000001, 0.15000000000000002, 0.17500000000000002, 0.35, 0.475, 0.575,
-          0.75, 0.75, 0.75, 0.75],
-         (0.05, 0.65, 1.0), (3.0, 1.0, 0.0)),
-    ])
+    def test_lengths_and_slopes_are_derived_from_the_fields(self):
+        hull = ConcaveHull([0.5, 1.0], [0.7, 0.3])
+        assert (hull.support, hull.increments) == ((0.5, 1.0), (0.7, 0.3))
+        assert hull.lengths == (0.5, 1.0 - 0.5) and hull.slopes == (0.7 / 0.5, 0.3 / 0.5)
+
+    def test_fields_lengths_and_slopes_bitwise_equal_to_four_list_oracle(self, rng):
+        # random profiles, normalized or not, collinear runs, and rational
+        # runs rounded to floats
+        point_sets = [random_spec(rng, normalized=bool(rng.integers(0, 2))).points for _ in range(300)]
+        point_sets += [list(zip(xs, values)) for xs, values, _, _ in COLLINEAR_RUNS]
+        point_sets.append(list(zip(*[[float(p) for p in col] for col in ROUNDED_RUNS])))
+        point_sets += [[(float(x), float(v)) for x, v in rational_collinear_runs(np.random.default_rng(seed))]
+                       for seed in range(300)]
+        for points in point_sets:
+            hull = hull_from_points(points)
+            got = float_bits(hull.support, hull.increments, hull.lengths, hull.slopes)
+            assert got == float_bits(*four_list_hull(points)), points
+
+    @pytest.mark.parametrize("xs, values, support, slopes", COLLINEAR_RUNS)
     def test_collinear_run_is_one_segment(self, xs, values, support, slopes):
         hull = hull_from_points(zip(xs, values))
         assert hull.support == pytest.approx(support, abs=1e-12)
@@ -173,12 +197,12 @@ class TestConcaveHull:
             assert hull.support == pytest.approx(kinks, abs=1e-15), seed
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", range(4))
-    def test_non_finite_field_rejected(self, field, bad):
-        fields = [(1.0,), (0.5,), (1.0,), (0.5,)]
-        fields[field] = (bad,)
+    @pytest.mark.parametrize("entry", range(4))  # support[0], support[1], increments[0], increments[1]
+    def test_non_finite_field_rejected(self, entry, bad):
+        numbers = [0.5, 1.0, 0.7, 0.3]
+        numbers[entry] = bad
         with pytest.raises(ValidationError):
-            ConcaveHull(*fields)
+            ConcaveHull(numbers[:2], numbers[2:])
 
     @given(step_specs())
     def test_envelope_properties(self, spec):

@@ -25,11 +25,12 @@ from tfglass import (
     transition_scan,
 )
 from tfglass.model import hull_from_points
-from tfglass.nonhier import indices_of, mask_of, subset_sums
+from tfglass.nonhier import indices_of, mask_of
 
-from conftest import random_field, random_nonhier
+from conftest import float_bits, random_field, random_nonhier
 from oracles import (
     chain_min_pressures,
+    four_list_hull,
     loop_chain_grem,
     loop_cumulative_weights,
     maxmin_candidates,
@@ -65,6 +66,15 @@ class TestModelAndChainValidation:
         chain = Chain.from_order([2, 1, 3])
         assert chain.order == (2, 1, 3)
         assert chain.terminal == mask_of([1, 2, 3])
+
+    @pytest.mark.parametrize("order", [[0], [-1], [2, 0], [1, -3]])
+    def test_from_order_rejects_indices_below_one(self, order):
+        with pytest.raises(ValidationError, match="1-based"):
+            Chain.from_order(order)
+
+    def test_from_subsets_rejects_index_zero(self):
+        with pytest.raises(ValidationError, match="1-based"):
+            NonHierModel.from_subsets((0.5, 0.5), {(0,): 0.5, (1, 2): 0.5})
 
     @pytest.mark.parametrize("lengths, weights", [
         ((0.5, 0.5), {1: math.nan, 2: 0.5, 3: 0.5}),
@@ -358,7 +368,10 @@ class TestGreedyChainTables:
             assert chain == Chain.from_order(
                 [i for prev, r in zip([0] + rounds, rounds) for i in indices_of(r & ~prev)])
             assert set(kink_sets) <= set(rounds)
-            assert hull == hull_from_points([(model.subset_length(r), atilde[r]) for r in rounds])
+            points = [(model.subset_length(r), atilde[r]) for r in rounds]
+            assert hull == hull_from_points(points)
+            got = float_bits(hull.support, hull.increments, hull.lengths, hull.slopes)
+            assert got == float_bits(*four_list_hull(points))
 
     def test_reduction_hull_is_the_greedy_chain_hull(self, rng):
         # the round points alone span the envelope of every chain set, and
@@ -384,7 +397,7 @@ class TestGreedyChainTables:
             lengths /= lengths.sum()
             model = NonHierModel(n, tuple(float(l) for l in lengths), {(1 << n) - 1: 1.0})
             want = np.array([model.subset_length(k) for k in range(1 << n)])
-            assert np.array_equal(subset_sums(model.block_lengths), want)
+            assert float_bits(model.subset_lengths()) == float_bits(want)
 
 
 @pytest.mark.parametrize("law", ["constant", "gaussian"])
