@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -81,6 +82,24 @@ def _write_csv(out: str, header, rows, manifest: str):
         Path(out).write_text(text)
     except OSError as exc:  # a missing directory, a directory, no permission: like an unreadable input
         raise ValidationError(f"cannot write output file {out!r}: {exc}") from exc
+
+
+def _check_writable(*outs: str):
+    """Reject an output path that cannot be written, before any work runs and
+    without creating or truncating a file ('-' is stdout)."""
+    for out in outs:
+        if out == "-":
+            continue
+        path = Path(out)
+        if path.is_dir():
+            reason = "it is a directory"
+        elif not path.parent.is_dir():
+            reason = f"no directory {str(path.parent)!r}"
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            reason = "permission denied"
+        else:
+            continue
+        raise ValidationError(f"cannot write output file {out!r}: {reason}")
 
 
 def _manifest(args) -> str:
@@ -205,6 +224,7 @@ def cmd_pressure(args) -> int:
     hull = concave_hull(model)
     betas = parse_grid(args.beta)
     fields = _fields_for(args)
+    _check_writable(args.out)
     rows = []
     for beta in betas:
         for label, field in fields:
@@ -221,6 +241,8 @@ def cmd_phase_diagram(args) -> int:
     hull = concave_hull(model)
     betas = parse_grid(args.beta)
     gammas = parse_grid(args.gamma)
+    out_tr = args.transitions_out or _derived_transitions_path(args.out)
+    _check_writable(args.out, out_tr)  # both, before either file is written
     grid_rows = []
     for beta in betas:
         for gamma in gammas:
@@ -249,7 +271,6 @@ def cmd_phase_diagram(args) -> int:
         beta_l = math.sqrt(2.0 * LN2 / slope)
         gamma_end = qgrem_critical_fields(hull, beta_l)[l - 1]
         tr_rows.append(("glass", l, beta_l, gamma_end, "second", 0.0))
-    out_tr = args.transitions_out or _derived_transitions_path(args.out)
     _write_csv(out_tr, ("kind", "index", "beta", "gamma", "order", "jump"), tr_rows, manifest)
     return EXIT_OK
 
@@ -267,6 +288,7 @@ def cmd_nonhier(args) -> int:
         raise ValidationError("this subcommand needs a non-hierarchical model file")
     betas = parse_grid(args.beta)
     fields = _fields_for(args)
+    _check_writable(args.out)
     chain, hull, kink_sets = greedy_reduction(model)
     order = "|".join(str(i) for i in chain.order)
     rows = []
@@ -289,6 +311,7 @@ def cmd_verify(args) -> int:
     Ns = parse_int_list(args.N)
     if not Ns:
         raise UsageError("verify needs a non-empty --N list")
+    _check_writable(args.out)
     label = field.label()
 
     rows = []

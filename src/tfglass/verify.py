@@ -6,8 +6,8 @@ standard Gaussian indexed by the spins of the blocks in J.  One sampler serves
 both model kinds: a non-hierarchical model lists its weighted subsets, and a
 hierarchical profile is the special case of the prefix levels J = {1..k},
 with a_k its jumps and block k ending at spin ceil(x_k N).  The Hamiltonian,
-written straight into CSR, is diagonal in the energies with -b_j connecting
-configurations that differ by one spin flip.
+written straight into CSR or into a dense stack, is diagonal in the energies
+with -b_j connecting configurations that differ by one spin flip.
 
 Two evaluation paths coexist.  The exact path diagonalizes densely and is
 gated at N <= 13.  The stochastic path needs only matrix-vector products and
@@ -21,8 +21,8 @@ which releases the GIL (scipy's holds it), so pool threads run in parallel.
 Replica seeds derive from (seed, replica index) and stacks are cut by N and
 replica count only, so aggregates do not depend on scheduling or workers.
 
-scipy is imported inside the functions that build or solve a Hamiltonian,
-so importing tfglass for the closed-form limits never loads it.
+The exact path is numpy alone.  scipy is imported only by the stochastic
+path, for its CSR Hamiltonian and in-place matvec.
 """
 
 from __future__ import annotations
@@ -138,22 +138,21 @@ def sample_instance(spec, field: FieldSpec, N: int, seed) -> FiniteInstance:
     return FiniteInstance(N, U, sample_weights(field, N, rng), seed)
 
 
-def sparse_hamiltonian(inst: FiniteInstance) -> scipy.sparse.csr_matrix:
-    """2^N x 2^N Hamiltonian: energies on the diagonal, -b_j on single flips.
+def _entries(inst: FiniteInstance):
+    """Columns and values of H's rows: row i holds (i, U_i), then (i with spin j flipped, -b_j)."""
+    masks = np.concatenate([[0], 1 << np.arange(inst.N - 1, -1, -1)]).astype(np.int32)
+    cols = np.arange(1 << inst.N, dtype=np.int32)[:, None] ^ masks  # int32 holds: N <= 20
+    data = np.column_stack([inst.potential, np.broadcast_to(-inst.field_weights, (len(cols), inst.N))])
+    return cols, data
 
-    Written straight into CSR: row i holds i, then i with spin j flipped, and
-    sort_indices orders each row.  int32 columns hold: N <= 20, 21 * 2^20 < 2^31.
-    """
+
+def sparse_hamiltonian(inst: FiniteInstance) -> scipy.sparse.csr_matrix:
+    """2^N x 2^N Hamiltonian in CSR: energies on the diagonal, -b_j on single flips."""
     import scipy.sparse
 
-    N, dim = inst.N, 1 << inst.N
-    cols = np.empty((dim, N + 1), dtype=np.int32)
-    cols[:, 0] = np.arange(dim, dtype=np.int32)
-    np.bitwise_xor(cols[:, :1], 1 << np.arange(N - 1, -1, -1, dtype=np.int32), out=cols[:, 1:])
-    data = np.empty((dim, N + 1))
-    data[:, 0] = inst.potential
-    data[:, 1:] = -inst.field_weights
-    indptr = np.arange(0, dim * (N + 1) + 1, N + 1, dtype=np.int32)
+    cols, data = _entries(inst)
+    dim, width = cols.shape
+    indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)  # 21 * 2^20 < 2^31
     H = scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(dim, dim))
     H.sort_indices()
     return H
@@ -167,22 +166,33 @@ def _check_exact(inst: FiniteInstance):
         )
 
 
-def _spectra(insts) -> np.ndarray:
-    """Spectra of equal-size instances, one row each, from one stacked eigvalsh
-    (bitwise equal to per-matrix calls); ``toarray(out=slot)`` zeroes the slot."""
+def _dense(insts) -> np.ndarray:
+    """H of equal-size instances in one (k, 2^N, 2^N) stack: each slot is zeroed and gets
+    each entry added, as ``sparse_hamiltonian(inst).toarray()`` does, so they are bitwise equal."""
     _check_exact(insts[0])
     dim = 1 << insts[0].N
     stack = np.empty((len(insts), dim, dim))
     for inst, slot in zip(insts, stack):
-        sparse_hamiltonian(inst).toarray(out=slot)
-    return np.linalg.eigvalsh(stack)
+        cols, data = _entries(inst)
+        slot.fill(0.0)
+        slot[cols[:, :1], cols] += data
+    return stack
+
+
+def _spectra(insts) -> np.ndarray:
+    """Spectra of equal-size instances, one row each, from one stacked eigvalsh
+    (bitwise equal to per-matrix calls)."""
+    return np.linalg.eigvalsh(_dense(insts))
 
 
 def _pressure_from_levels(levels: np.ndarray, beta: float, N: int):
-    """(1/N) ln sum_i exp(-beta levels_i) along the last axis, overflow-safe."""
-    from scipy.special import logsumexp
-
-    return logsumexp(-beta * levels, axis=-1) / N
+    """(1/N) ln sum_i exp(-beta levels_i) along the last axis, in scipy's logsumexp arithmetic:
+    the m maxima of x = -beta levels leave the sum s of exp(x - max); ln = log1p(s / m) + ln m + max."""
+    x = -beta * levels
+    top = x.max(axis=-1, keepdims=True)
+    rest = np.exp(np.where(x == top, -np.inf, x) - top).sum(axis=-1)
+    count = (x == top).sum(axis=-1, dtype=float)
+    return (np.log1p(rest / count) + np.log(count) + top[..., 0]) / N
 
 
 def exact_pressure(inst: FiniteInstance, beta: float) -> float:
@@ -344,8 +354,7 @@ def stochastic_pressure(
 
 def _exp_diag(inst: FiniteInstance, beta: float, anchor: float | None = None):
     """Diagonal of exp(-beta (H - anchor)) via a full eigendecomposition."""
-    _check_exact(inst)
-    w, V = np.linalg.eigh(sparse_hamiltonian(inst).toarray())
+    w, V = np.linalg.eigh(_dense([inst])[0])
     if anchor is None:
         anchor = float(w.min())
     return (V * V) @ np.exp(-beta * (w - anchor)), anchor

@@ -322,16 +322,35 @@ class TestUnwritableOutput:
          "--out", "{ok}", "--transitions-out", "{bad}"],
         ["verify", "--model", "{rem}", "--field", "constant:1.0", "--beta", "1.2", "--N", "4",
          "--replicas", "3", "--seed", "11", "--tol-limit-gap", "1", "--out", "{bad}"],
-    ], ids=["pressure", "phase-diagram-transitions", "verify"])
-    def test_exits_2_with_one_validation_line(self, models, tmp_path, capsys, argv, target):
+        ["nonhier", "--model", "{nh2}", "--beta", "1.2", "--gamma", "0:1:2", "--out", "{bad}"],
+    ], ids=["pressure", "phase-diagram-transitions", "verify", "nonhier"])
+    def test_exits_2_with_one_validation_line(self, models, tmp_path, capsys, monkeypatch, argv, target):
+        # every output path is checked before any work runs: verify's
+        # replicas never start, and no file is written at --out
+        from tfglass import cli
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("replicas ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "convergence_study", no_replicas)
         bad = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
-        paths = {"grem2": models["grem2"], "rem": models["rem"], "ok": tmp_path / "ok.csv", "bad": bad}
+        paths = {**models, "ok": tmp_path / "ok.csv", "bad": bad}
         assert main([arg.format(**paths) for arg in argv]) == 2
         captured = capsys.readouterr()
         errors = [json.loads(line) for line in captured.err.splitlines() if line.startswith("{")]
         assert len(errors) == 1 and errors[0]["error"] == "validation"
         assert str(bad) in errors[0]["message"]
         assert captured.out == ""
+        assert not paths["ok"].exists()
+
+    def test_derived_transitions_path_is_checked_before_the_grid_is_written(self, models, tmp_path, capsys):
+        derived = tmp_path / "grid-transitions.csv"
+        derived.mkdir()
+        grid = tmp_path / "grid.csv"
+        assert main(["phase-diagram", "--model", str(models["grem2"]), "--beta", "1.2", "--gamma", "0:1:3",
+                     "--out", str(grid)]) == 2
+        assert str(derived) in last_error(capsys)["message"]
+        assert not grid.exists()
 
 
 class TestMalformedValues:
@@ -452,6 +471,32 @@ class TestManifest:
         monkeypatch.chdir(tmp_path)  # the model path is part of the configuration
         assert main(argv + ["--out", "out.csv"]) == 0
         assert (tmp_path / "out.csv").read_text().splitlines()[0] == line
+
+
+def test_exact_path_does_not_load_scipy(tmp_path):
+    """The exact path is numpy alone: its drivers up to N = 10, exact_pressure,
+    sign_invariance_check and `verify --method exact` load no scipy module."""
+    (tmp_path / "grem.json").write_text(json.dumps({"kind": "step", "x": [0.5, 1.0], "jumps": [0.7, 0.3]}))
+    script = """
+import json, sys
+import tfglass as tg
+from tfglass.cli import load_model, main
+grem, rem, field = load_model("grem.json"), tg.DistributionSpec.rem(), tg.FieldSpec.constant(1.0)
+tg.convergence_study(grem, field, 1.2, [4, 6, 8, 10], 3, 1, method="exact")
+tg.concentration_check(rem, field, 8, 1.2, 200, 1, method="exact")
+inst = tg.sample_instance(grem, field, 8, 1)
+tg.exact_pressure(inst, 1.2)
+assert tg.sign_invariance_check(inst, 1.2, patterns=2) <= 1e-8
+assert main(["verify", "--model", "grem.json", "--field", "constant:1.0", "--beta", "1.2", "--N", "6,8",
+             "--replicas", "8", "--seed", "7", "--tol-limit-gap", "1", "--method", "exact", "--out", "v.csv"]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+    src = str(Path(tfglass.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
 def test_limit_commands_do_not_load_scipy(tmp_path):

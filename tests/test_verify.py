@@ -165,6 +165,48 @@ class TestOneSampler:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+class TestNumpyExactPath:
+    """The exact path's numpy kernels against the scipy calls they replaced, bitwise."""
+
+    MODELS = {  # spec, smallest N that gives every block a spin
+        "rem": (REM_SPEC, 1),
+        "two-block": (GREM_SPEC, 2),
+        "non-hierarchical": (NonHierModel.from_subsets([0.5, 0.5], {(1,): 0.2, (2,): 0.3, (1, 2): 0.5}), 2),
+    }
+    FIELDS = {
+        "constant": CONST1,
+        "gaussian": FieldSpec.gaussian(0.1, 1.0),
+        "discrete": FieldSpec.discrete([(0.0, 0.5), (2.0, 0.5)]),  # zero weights: signed zeros
+    }
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_dense_stack_equals_toarray(self, model, field):
+        spec, n_min = self.MODELS[model]
+        for N in range(n_min, 11):
+            insts = [sample_instance(spec, self.FIELDS[field], N, [N, r]) for r in range(2)]
+            for inst, H in zip(insts, verify._dense(insts)):
+                assert H.tobytes() == dense_hamiltonian(inst).tobytes(), N
+
+    def test_dense_keeps_toarray_zeros(self):
+        # toarray adds each entry to a zeroed slot, so -0.0 entries read +0.0
+        inst = FiniteInstance(2, np.array([-0.0, 1.0, -0.0, 2.0]), np.array([0.0, -0.0]), 0)
+        assert verify._dense([inst])[0].tobytes() == dense_hamiltonian(inst).tobytes()
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-8, 0.3, 1.2, 8.0, 1e3])
+    def test_log_sum_exp_equals_scipy(self, beta):
+        from scipy.special import logsumexp
+
+        cases = [(verify._spectra([sample_instance(spec, CONST1, N, [N, r]) for r in range(3)]), N)
+                 for spec in (REM_SPEC, GREM_SPEC) for N in (4, 8, 10)]
+        ties = np.array([[-2.0, 0.5, -2.0, 1.0], [3.0, 3.0, 3.0, 3.0], [-0.0, 0.0, 1.0, 0.0]])
+        cases += [(ties, 2), (ties[0], 2), (exact_spectrum(sample_instance(ZERO_SPEC, FieldSpec.constant(0.0), 6, 1)), 6)]
+        for levels, N in cases:
+            got = verify._pressure_from_levels(levels, beta, N)
+            want = logsumexp(-beta * levels, axis=-1) / N
+            assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestFiniteInstanceChecks:
     @pytest.mark.parametrize("N", [0, STOCH_MAX_N + 1])
     def test_size_outside_the_gate_is_a_capacity_error(self, N):
