@@ -5,7 +5,6 @@ from .classical import (
     PartialPressureTable,
     classical_pressure,
     crem_truncated_pressure,
-    freezing_boundary,
     partial_pressures,
 )
 from .errors import CapacityError, DomainError, ValidationError

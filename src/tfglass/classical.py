@@ -60,7 +60,9 @@ def partial_pressures(hull: ConcaveHull, beta: float) -> PartialPressureTable:
 def _table(hull: ConcaveHull, beta: float) -> PartialPressureTable:
     fbeta = tuple([math.sqrt(_TWO_LN2 / g_l) if g_l > 0.0 else math.inf for g_l in hull.slopes])
     frozen = tuple([beta > b_l for b_l in fbeta])
-    phi = tuple([beta * math.sqrt(_TWO_LN2 * a_l * L_l) if is_frozen else 0.5 * beta * beta * a_l + L_l * LN2
+    # a flat segment (a_l = 0) skips the quadratic term, which is 0, or nan where beta^2 overflows
+    phi = tuple([beta * math.sqrt(_TWO_LN2 * a_l * L_l) if is_frozen
+                 else (0.5 * beta * beta * a_l if a_l else 0.0) + L_l * LN2
                  for a_l, L_l, is_frozen in zip(hull.increments, hull.lengths, frozen)])
     per_length = tuple([p / L_l for p, L_l in zip(phi, hull.lengths)])
     return PartialPressureTable(beta, phi, fbeta, frozen, per_length, tuple(accumulate(phi, initial=0.0)))
@@ -71,33 +73,22 @@ def classical_pressure(hull: ConcaveHull, beta: float) -> float:
     return partial_pressures(hull, beta).total
 
 
-def freezing_boundary(hull: ConcaveHull, beta: float) -> float:
-    """Largest kink up to which every segment is frozen: beta > beta_l.
-
-    This is where the frozen (condensed) part of the hierarchy ends: 0 when no
-    segment is frozen, span when all are.  It reads the ``frozen`` flags of
-    ``partial_pressures``, which form a prefix because beta_l grows with l.
-    At beta = beta_l a segment is not frozen (the defining inequality is
-    strict), which keeps the truncated pressure continuous in beta; beta = 0
-    freezes nothing.
-    """
-    k = partial_pressures(hull, beta).frozen.count(True)
-    return hull.support[k - 1] if k else 0.0
-
-
 def crem_truncated_pressure(hull: ConcaveHull, beta: float, z: float) -> float:
     """Pressure of the model truncated at overlap z.
 
     Closed form for piecewise-constant slopes: the frozen stretch [0, x(beta)]
     integrates beta * sqrt(2 ln2 * slope) segment by segment, the remainder
     (if z reaches past x(beta)) contributes the quadratic-plus-entropy terms.
-    At z = span this reproduces classical_pressure exactly.
+    x(beta) is the last kink of the leading segments that ``partial_pressures``
+    flags frozen (beta > beta_l strictly, so beta = 0 freezes nothing).  At
+    z = span this reproduces classical_pressure exactly.
     """
     if not 0.0 <= beta < math.inf:
         raise DomainError("beta must be finite and >= 0")
     if not 0.0 <= z <= hull.span + 1e-15:
         raise DomainError(f"z={z} outside [0, {hull.span}]")
-    x_beta = freezing_boundary(hull, beta)
+    k = partial_pressures(hull, beta).frozen.count(True)
+    x_beta = hull.support[k - 1] if k else 0.0
     cut = min(x_beta, z)
     val = 0.0
     prev = 0.0
@@ -108,6 +99,7 @@ def crem_truncated_pressure(hull: ConcaveHull, beta: float, z: float) -> float:
         val += beta * math.sqrt(_TWO_LN2 * g_l) * seg
         prev = y_l
     if z > x_beta:
-        val += 0.5 * beta * beta * (hull.value_at(z) - hull.value_at(x_beta))
+        if rise := hull.value_at(z) - hull.value_at(x_beta):  # flat: skip the inf * 0 of beta^2 overflow
+            val += 0.5 * beta * beta * rise
         val += LN2 * (z - x_beta)
     return val

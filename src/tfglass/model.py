@@ -335,15 +335,17 @@ def paramagnetic_pressure(field: FieldSpec, beta: float) -> float:
     if not 0.0 <= beta < math.inf:
         raise DomainError("beta must be finite and >= 0")
     if field.law is FieldLaw.CONSTANT:
-        return float(ln_2cosh(beta * field.gamma))
-    if field.law is FieldLaw.DISCRETE:
-        return LN2 + float(sum(p * (ln_2cosh(beta * v) - LN2) for v, p in field.atoms))
-    if field.law is FieldLaw.GAUSSIAN:
+        value = float(ln_2cosh(beta * field.gamma))
+    elif field.law is FieldLaw.DISCRETE:
+        value = LN2 + float(sum(p * (ln_2cosh(beta * v) - LN2) for v, p in field.atoms))
+    elif field.law is FieldLaw.GAUSSIAN:
         mu, sigma = beta * field.mean, beta * field.stddev
-        if sigma == 0.0:
-            return float(ln_2cosh(mu))
-        return _gaussian_ln2cosh_mean(mu, sigma)
-    return LN2 + float(np.mean(ln_2cosh(beta * np.asarray(field.samples)) - LN2))
+        value = float(ln_2cosh(mu)) if sigma == 0.0 else _gaussian_ln2cosh_mean(mu, sigma)
+    else:
+        value = LN2 + float(np.mean(ln_2cosh(beta * np.asarray(field.samples)) - LN2))
+    if not math.isfinite(value):
+        raise DomainError("the paramagnetic pressure p(beta * gamma) overflows")
+    return value
 
 
 def sample_weights(field: FieldSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,9 +5,10 @@ independent Gaussian layers: a level (J, a_J) contributes sqrt(N a_J) times a
 standard Gaussian indexed by the spins of the blocks in J.  One sampler serves
 both model kinds: a non-hierarchical model lists its weighted subsets, and a
 hierarchical profile is the special case of the prefix levels J = {1..k},
-with a_k its jumps and block k ending at spin ceil(x_k N).  The Hamiltonian,
-written straight into CSR or into a dense stack, is diagonal in the energies
-with -b_j connecting configurations that differ by one spin flip.
+with a_k its jumps and block k ending at spin ceil(x_k N).  The Hamiltonian is
+one flip table: row i holds the energy at column i, then -b_j at column i with
+spin j flipped.  The exact path adds it into a dense stack; the stochastic
+path hands it to the CSR matvec kernel as is, with a row stride of N + 1.
 
 Two evaluation paths coexist.  The exact path diagonalizes densely and is
 gated at N <= 13.  The stochastic path needs only matrix-vector products and
@@ -22,7 +23,7 @@ Replica seeds derive from (seed, replica index) and stacks are cut by N and
 replica count only, so aggregates do not depend on scheduling or workers.
 
 The exact path is numpy alone.  scipy is imported only by the stochastic
-path, for its CSR Hamiltonian and in-place matvec.
+path, for its in-place CSR matvec kernel ``csr_matvecs``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,9 +45,6 @@ from .model import (
 )
 from .nonhier import NonHierModel, indices_of, quantum_nonhier_pressure
 from .quantum import qgrem_pressure
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 EXACT_MAX_N = 13  # one REM exact_pressure at N = 13: 72 s, 1,080 MB peak RSS
 STOCH_MAX_N = 20
@@ -142,34 +140,16 @@ def _entries(inst: FiniteInstance):
     """Columns and values of H's rows: row i holds (i, U_i), then (i with spin j flipped, -b_j)."""
     masks = np.concatenate([[0], 1 << np.arange(inst.N - 1, -1, -1)]).astype(np.int32)
     cols = np.arange(1 << inst.N, dtype=np.int32)[:, None] ^ masks  # int32 holds: N <= 20
-    data = np.column_stack([inst.potential, np.broadcast_to(-inst.field_weights, (len(cols), inst.N))])
+    data = np.empty(cols.shape)  # C order, as cols: the CSR matvec reads both raveled, without a copy
+    data[:, 0], data[:, 1:] = inst.potential, -inst.field_weights
     return cols, data
-
-
-def sparse_hamiltonian(inst: FiniteInstance) -> scipy.sparse.csr_matrix:
-    """2^N x 2^N Hamiltonian in CSR: energies on the diagonal, -b_j on single flips."""
-    import scipy.sparse
-
-    cols, data = _entries(inst)
-    dim, width = cols.shape
-    indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)  # 21 * 2^20 < 2^31
-    H = scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(dim, dim))
-    H.sort_indices()
-    return H
-
-
-def _check_exact(inst: FiniteInstance):
-    if inst.N > EXACT_MAX_N:
-        raise CapacityError(
-            f"dense diagonalization gated at N <= {EXACT_MAX_N}; "
-            "use stochastic_pressure"
-        )
 
 
 def _dense(insts) -> np.ndarray:
     """H of equal-size instances in one (k, 2^N, 2^N) stack: each slot is zeroed and gets
-    each entry added, as ``sparse_hamiltonian(inst).toarray()`` does, so they are bitwise equal."""
-    _check_exact(insts[0])
+    each entry of the flip table added, as scipy's CSR ``toarray()`` does, so they are bitwise equal."""
+    if insts[0].N > EXACT_MAX_N:
+        raise CapacityError(f"dense diagonalization gated at N <= {EXACT_MAX_N}; use stochastic_pressure")
     dim = 1 << insts[0].N
     stack = np.empty((len(insts), dim, dim))
     for inst, slot in zip(insts, stack):
@@ -236,9 +216,10 @@ def _quadrature_rules(alpha, off, node, lo, betas):
     return log_rule(theta, V[:, 0] ** 2), log_rule(theta_r, V_r[:, 0] ** 2)
 
 
-def _lanczos_rules(H, q, node, lo, betas, budget, first_check):
+def _lanczos_rules(csr, q, node, lo, betas, budget, first_check):
     """ln G and ln R, shape (len(betas), columns), of every probe column of q.
 
+    ``csr`` holds H's CSR arrays (indptr, indices, data), columns unsorted.
     One Lanczos recurrence per column, one in-place sparse matvec per step
     (q is overwritten), no reorthogonalization: the Gauss rule stays accurate
     when the basis loses orthogonality (Golub and Strakos, Numer. Algorithms
@@ -261,7 +242,7 @@ def _lanczos_rules(H, q, node, lo, betas, budget, first_check):
     active = np.ones(cols, dtype=bool)
     for step in range(1, dim + 1):  # in exact arithmetic the Krylov space is full by step dim
         q_prev *= -b
-        csr_matvecs(dim, dim, cols, H.indptr, H.indices, H.data, q.ravel(), q_prev.ravel())
+        csr_matvecs(dim, dim, cols, *csr, q.ravel(), q_prev.ravel())
         a = dots(q, q_prev)
         for i in range(0, dim, chunk):  # by rows: a * q allocates one chunk, not a full block
             q_prev[i:i + chunk] -= a * q[i:i + chunk]
@@ -304,7 +285,9 @@ def _stochastic_traces(inst, betas, probes, seed):
         # Zero-width spectrum: H = lo * identity, every probe gives z^T z = dim exactly.
         exact = np.full((len(betas), probes), math.log(dim))
         return lo, exact, exact, 0
-    H = sparse_hamiltonian(inst)
+    import scipy.sparse._sparsetools  # first: loaded after an array, its lifelong objects pin freed heap
+    cols, data = _entries(inst)  # row pointer: stride N + 1, int32 as 21 * 2^20 < 2^31
+    csr = np.arange(0, cols.size + 1, inst.N + 1, dtype=np.int32), cols.ravel(), data.ravel()
     node = lo - 1e-10 * max(abs(lo), abs(hi))
     block = max(1, min(probes, (1 << 24) // dim))
     log_g, log_r, steps, first_check = [], [], 0, 1
@@ -314,7 +297,7 @@ def _stochastic_traces(inst, betas, probes, seed):
         Z = 2.0 * rng.integers(0, 2, size=(dim, p)) - 1.0  # two (dim, p) arrays at most, not three
         for j in range(0, p, TILE_COLS):
             tile = np.ascontiguousarray(Z[:, j:j + TILE_COLS])
-            g, r, k = _lanczos_rules(H, tile, node, lo, betas, TRUNCATION_EPS * inst.N, first_check)
+            g, r, k = _lanczos_rules(csr, tile, node, lo, betas, TRUNCATION_EPS * inst.N, first_check)
             # a check costs two small eigensolves per column: later tiles
             # check from one step before the previous tile stopped
             first_check = k - 1
@@ -377,11 +360,15 @@ def sign_invariance_check(inst: FiniteInstance, beta: float, patterns: int = 1, 
     return worst
 
 
-def _replica_phis(spec, field, N, beta, seeds, frozen_weights, method, probes, workers) -> np.ndarray:
-    """Pressures of the replicas drawn from ``seeds``, one pool task per stack or stochastic replica."""
+def _replica_phis(spec, field, N, beta, root, replicas, freeze, method, probes, workers) -> np.ndarray:
+    """Pressures of the replicas drawn from seeds [*root, r + 1], one pool task per stack or
+    stochastic replica.  With ``freeze`` every replica takes the field weights drawn from [*root, 0]."""
+    seeds = [[*root, r + 1] for r in range(replicas)]
+    frozen = sample_weights(field, N, np.random.default_rng([*root, 0])).astype(float) if freeze else None
+
     def draw(seed):
         inst = sample_instance(spec, field, N, seed)
-        return inst if frozen_weights is None else replace(inst, field_weights=frozen_weights)
+        return inst if frozen is None else replace(inst, field_weights=frozen)
 
     def stochastic(seed):
         value = stochastic_pressure(draw(seed), beta, probes, seed=seed).value
@@ -403,10 +390,14 @@ def _replica_phis(spec, field, N, beta, seeds, frozen_weights, method, probes, w
     return np.array(_pool_map(stochastic, seeds, workers))
 
 
+# One pool per worker count for the process, so threads and their malloc arenas are
+# reused.  No pool task calls a driver, so a task never waits on its own pool.
+_pool = lru_cache(maxsize=None)(ThreadPoolExecutor)
+
+
 def _pool_map(fn, items, workers):
     if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        return list(_pool(workers).map(fn, items))
     return [fn(item) for item in items]
 
 
@@ -450,10 +441,7 @@ def concentration_check(
     """
     if replicas < 200:
         raise ValidationError("concentration check needs at least 200 replicas")
-    seed = _seed_int(seed)
-    frozen = np.asarray(sample_weights(field, N, np.random.default_rng([seed, 0])), dtype=float)
-    seeds = [[seed, r + 1] for r in range(replicas)]
-    phis = _replica_phis(spec, field, N, beta, seeds, frozen, method, probes, workers)
+    phis = _replica_phis(spec, field, N, beta, [_seed_int(seed)], replicas, True, method, probes, workers)
     mean = float(phis.mean())
     devs = np.abs(phis - mean)
     thresholds, fractions, bounds, slacks, passed = [], [], [], [], []
@@ -540,11 +528,7 @@ def convergence_study(
     limit = limiting_pressure(spec, field, beta)
     rows, phis_all = [], []
     for N in Ns:
-        frozen = None
-        if freeze_field:
-            frozen = np.asarray(sample_weights(field, N, np.random.default_rng([seed, N, 0])), dtype=float)
-        seeds = [[seed, N, r + 1] for r in range(replicas)]
-        phis = _replica_phis(spec, field, N, beta, seeds, frozen, method, probes, workers)
+        phis = _replica_phis(spec, field, N, beta, [seed, N], replicas, freeze_field, method, probes, workers)
         mean = float(phis.mean())
         rows.append(ConvergenceRow(N, mean, float(phis.std(ddof=1)), limit, abs(mean - limit)))
         phis_all.append(tuple(float(p) for p in phis))

@@ -23,7 +23,10 @@ sampler served both model kinds: the hierarchical cascade by repetition,
 the subset sampler by per-block bit extraction, and the COO detour to CSR.
 
 The helpers at the end are conveniences that only tests call: the dense
-spectrum and Hamiltonian, the two Gibbs lower bounds of a finite instance,
+spectrum, the sorted-CSR and dense Hamiltonians (scipy's CSR with its
+columns sorted, which the stochastic path once multiplied by; it now runs
+the kernel on the unsorted flip table), the two Gibbs lower bounds of a
+finite instance, the freezing boundary read off the segment table's flags,
 the envelope's right derivative and a step profile's jump heights.  Unlike
 the oracles above they run on the package's own paths.
 """
@@ -43,6 +46,7 @@ from scipy.special import ive
 
 from tfglass import (
     Chain,
+    ConcaveHull,
     chain_grem,
     classical_pressure,
     crem_truncated_pressure,
@@ -52,7 +56,7 @@ from tfglass import (
 from tfglass.errors import DomainError
 from tfglass.model import _SUM_TOL, ProfileKind, ln_2cosh
 from tfglass.nonhier import ReducedGrem, indices_of
-from tfglass.verify import _pressure_from_levels, _spectra, sparse_hamiltonian
+from tfglass.verify import FiniteInstance, _entries, _pressure_from_levels, _spectra
 
 mp.mp.dps = 40
 
@@ -476,6 +480,16 @@ def exact_spectrum(inst):
     return _spectra([inst])[0]
 
 
+def sparse_hamiltonian(inst: FiniteInstance) -> scipy.sparse.csr_matrix:
+    """2^N x 2^N Hamiltonian in CSR: energies on the diagonal, -b_j on single flips."""
+    cols, data = _entries(inst)
+    dim, width = cols.shape
+    indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)  # 21 * 2^20 < 2^31
+    H = scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(dim, dim))
+    H.sort_indices()
+    return H
+
+
 def dense_hamiltonian(inst):
     return sparse_hamiltonian(inst).toarray()
 
@@ -499,6 +513,20 @@ def field_only_pressure(inst, beta):
     """
     cross = beta * float(inst.potential.mean())
     return (float(np.sum(ln_2cosh(beta * inst.field_weights))) - cross) / inst.N
+
+
+def freezing_boundary(hull: ConcaveHull, beta: float) -> float:
+    """Largest kink up to which every segment is frozen: beta > beta_l.
+
+    This is where the frozen (condensed) part of the hierarchy ends: 0 when no
+    segment is frozen, span when all are.  It reads the ``frozen`` flags of
+    ``partial_pressures``, which form a prefix because beta_l grows with l.
+    At beta = beta_l a segment is not frozen (the defining inequality is
+    strict), which keeps the truncated pressure continuous in beta; beta = 0
+    freezes nothing.
+    """
+    k = partial_pressures(hull, beta).frozen.count(True)
+    return hull.support[k - 1] if k else 0.0
 
 
 def right_derivative(hull, x):

@@ -17,7 +17,6 @@ from tfglass import (
     classical_pressure,
     concave_hull,
     crem_truncated_pressure,
-    freezing_boundary,
     partial_pressures,
 )
 
@@ -28,6 +27,7 @@ from oracles import (
     GREM_PHI2_B12,
     REM_PRESSURE_B12,
     REM_TRUNCATED_B12_Z05,
+    freezing_boundary,
     mp_classical,
     mp_partial_pressure,
 )

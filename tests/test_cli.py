@@ -353,6 +353,30 @@ class TestUnwritableOutput:
         assert not grid.exists()
 
 
+class TestHugeBeta:
+    """beta = 1e200 squares to inf: the flat segment's classical pressure stays
+    finite, and a field whose p(beta gamma) overflows exits 2."""
+
+    @pytest.fixture
+    def flat(self, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"kind": "step", "x": [0.5, 1.0], "jumps": [1.0, 0.0]}))
+        return path
+
+    def test_flat_segment_gives_finite_rows(self, flat, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["pressure", "--model", str(flat), "--beta", "1e200", "--gamma", "0:1:2",
+                     "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 2
+        assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[3])) for r in rows), rows
+
+    def test_overflowing_field_exits_2(self, flat, capsys):
+        assert main(["pressure", "--model", str(flat), "--beta", "1e200", "--field", "constant:1e200",
+                     "--out", "-"]) == 2
+        assert last_error(capsys)["error"] == "validation"
+
+
 class TestMalformedValues:
     @pytest.mark.parametrize("extra", [
         ["--beta", "1.0", "--field", "constant:abc"],

@@ -15,6 +15,7 @@ from tfglass import (
     ValidationError,
     classical_pressure,
     concave_hull,
+    crem_truncated_pressure,
     magnetization,
     paramagnetic_pressure,
     qcrem_closed_form,
@@ -499,3 +500,36 @@ class TestPrefixSums:
     @given(step_specs(max_blocks=8), st.floats(1e-8, 1e3), st.floats(0.0, 5.0))
     def test_matches_the_summation_loop_for_beta_from_1e_8_to_1e3(self, spec, beta, gamma):
         assert_cell_is_the_summation_loop(concave_hull(spec), beta, FieldSpec.constant(gamma))
+
+
+class TestHugeBeta:
+    """No nan or inf: a flat segment adds no quadratic term even where beta^2
+    overflows, and a p(beta gamma) that overflows is a DomainError."""
+
+    FLAT = concave_hull(DistributionSpec.from_jumps([1.0, 0.0], [0.5, 1.0]))
+
+    def test_flat_segment_keeps_classical_pressures_finite(self):
+        phi = partial_pressures(self.FLAT, 1e200).phi
+        assert phi[1] == 0.5 * LN2
+        assert math.isfinite(classical_pressure(self.FLAT, 1e200))
+        for z in (0.5, 0.75, 1.0):
+            assert math.isfinite(crem_truncated_pressure(self.FLAT, 1e200, z)), z
+        assert crem_truncated_pressure(self.FLAT, 1e200, 1.0) == classical_pressure(self.FLAT, 1e200)
+
+    @pytest.mark.parametrize("field", [
+        FieldSpec.constant(1e200),
+        FieldSpec.discrete([(1e200, 0.5), (1.0, 0.5)]),
+        FieldSpec.gaussian(1e200, 1.0),
+        FieldSpec.gaussian(0.0, 1e200),
+        FieldSpec.empirical([1e200, 1.0]),
+    ], ids=["constant", "discrete", "gaussian-mean", "gaussian-spread", "empirical"])
+    def test_overflowing_paramagnet_is_a_domain_error(self, field):
+        with pytest.raises(DomainError, match="overflows"):
+            paramagnetic_pressure(field, 1e200)
+        with pytest.raises(DomainError, match="overflows"):
+            qgrem_pressure(self.FLAT, 1e200, field)
+
+    def test_overflowing_closed_form_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            qcrem_closed_form(self.FLAT, 1e200, 1e200)
+        assert math.isfinite(qcrem_closed_form(self.FLAT, 1e200, 1.0))

@@ -1,6 +1,7 @@
 """Finite-size sampling, exact and stochastic pressures, concentration."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,6 @@ from tfglass.verify import (
     FiniteInstance,
     StochasticPressure,
     _stochastic_traces,
-    sparse_hamiltonian,
 )
 
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     field_only_pressure,
     forward_stochastic_pressure,
     scipy_exact_pressure,
+    sparse_hamiltonian,
     subset_potential,
 )
 
@@ -407,6 +408,38 @@ class TestLanczosBracket:
         assert np.max(log_r - log_g) / 14 <= TRUNCATION_EPS
 
 
+class TestUnsortedFlipTable:
+    """The stochastic path multiplies by the flip table, row i holding (i, U_i) and
+    then the spin flips from spin 1 on, against the sorted CSR arrays it replaced.
+    Only each row's summation order differs.  The Gauss rules (the values) move
+    by rounding; the Gauss-Radau rule, whose node sits at the Gershgorin bound,
+    is more sensitive, so for it the tests require the same stopping steps and
+    every bracket within the budget."""
+
+    @staticmethod
+    def rules(csr, inst, beta):
+        b_abs = float(np.abs(inst.field_weights).sum())
+        lo, hi = float(inst.potential.min()) - b_abs, float(inst.potential.max()) + b_abs
+        q = 2.0 * np.random.default_rng([inst.N, 3]).integers(0, 2, size=(1 << inst.N, 32)) - 1.0
+        node = lo - 1e-10 * max(abs(lo), abs(hi))
+        return verify._lanczos_rules(csr, q, node, lo, [beta], TRUNCATION_EPS * inst.N, 1)
+
+    @pytest.mark.parametrize("spec, field", [(REM_SPEC, CONST1), (GREM_SPEC, FieldSpec.gaussian(1.0, 0.5))],
+                             ids=["rem-constant", "two-block-gaussian"])
+    def test_values_within_1e13_and_equal_step_counts(self, spec, field):
+        for N in (8, 10, 12, 14):
+            inst = sample_instance(spec, field, N, [N, 17])
+            H = sparse_hamiltonian(inst)
+            cols, data = verify._entries(inst)
+            assert np.shares_memory(cols.ravel(), cols) and np.shares_memory(data.ravel(), data)  # no copy
+            for beta in (0.8, 1.2, 3.0, 8.0):
+                log_g, log_r, steps = self.rules((H.indptr, cols.ravel(), data.ravel()), inst, beta)
+                want_g, _, want_steps = self.rules((H.indptr, H.indices, H.data), inst, beta)
+                assert steps == want_steps, (N, beta)
+                np.testing.assert_allclose(log_g, want_g, rtol=1e-13, atol=0.0)
+                assert np.all(log_r - log_g <= TRUNCATION_EPS * N), (N, beta)
+
+
 class TestChebyshevMoments:
     """The estimator against the Chebyshev estimator it replaced, kept as the
     forward-recurrence oracle, on the same probes."""
@@ -636,6 +669,21 @@ class TestStackedReplicas:
         c = concentration_check(REM_SPEC, CONST1, 8, 1.2, 200, seed=13, workers=1)
         d = concentration_check(REM_SPEC, CONST1, 8, 1.2, 200, seed=13, workers=2)
         assert c == d
+
+    def test_drivers_share_one_worker_pool(self, monkeypatch):
+        # the second driver call runs on the threads the first one started
+        draw, seen = verify.sample_instance, []
+
+        def recording(*args):
+            seen[-1].add(threading.current_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(verify, "sample_instance", recording)
+        for _ in range(2):
+            seen.append(set())
+            convergence_study(REM_SPEC, CONST1, 1.2, [6], 6, seed=3, method="stochastic", probes=4, workers=2)
+        assert seen[1] and seen[1] <= seen[0]
+        assert threading.current_thread() not in seen[0]
 
     def test_within_1e13_of_single_matrix_scipy_solver(self):
         for N in (6, 8, 10):
