@@ -26,15 +26,8 @@ import numpy as np
 
 from .classical import classical_pressure
 from .errors import CapacityError, DomainError, ValidationError
-from .model import (
-    LN2,
-    DistributionSpec,
-    FieldSpec,
-    _json_number,
-    _json_numbers,
-    concave_hull,
-)
-from .nonhier import NonHierModel, greedy_reduction, indices_of
+from .model import LN2, DistributionSpec, FieldSpec, _json_number, _json_numbers
+from .nonhier import NonHierModel, greedy_reduction, indices_of, model_hull
 from .quantum import (
     BlockPhase,
     magnetization,
@@ -49,6 +42,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
 EXIT_CAPACITY = 4
+GRID_MAX_POINTS = 1_000_000  # points of a grid, and cells of a limit table (README, Size gates)
 
 
 class UsageError(Exception):
@@ -185,6 +179,8 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid must be numbers start:stop:count, got {text!r}") from exc
     if count < 1:
         raise UsageError("grid count must be >= 1")
+    if count > GRID_MAX_POINTS:  # before np.linspace allocates
+        raise CapacityError(f"grids are gated at {GRID_MAX_POINTS} points, got {count}")
     if start > stop:
         raise UsageError("grid start must be <= stop")
     return [float(v) for v in np.linspace(start, stop, count)]
@@ -197,59 +193,58 @@ def parse_int_list(text: str) -> list[int]:
         raise UsageError(f"bad integer list {text!r}") from exc
 
 
-def _phase_string(phases) -> str:
-    return "".join("C" if p is BlockPhase.CLASSICAL else "P" for p in phases)
-
-
-def _fields_for(args) -> list[tuple[str, FieldSpec]]:
-    """Resolve --field / --gamma into labelled field laws, one per grid point."""
+def _limit_grid(args, *outs):
+    """Beta grid and labelled field laws (--field, or a constant law per --gamma point), with the
+    cell count gated and the output paths checked before the model is reduced (up to 1 s at n = 20)."""
+    betas, law = parse_grid(args.beta), getattr(args, "field", None)  # phase-diagram takes --gamma alone
     if args.gamma is not None:
-        if args.field is not None:
+        if law is not None:
             raise UsageError("give either --gamma or --field, not both")
-        return [(_fmt(g), FieldSpec.constant(g)) for g in parse_grid(args.gamma)]
-    if args.field is None:
+        fields = [(_fmt(g), FieldSpec.constant(g)) for g in parse_grid(args.gamma)]
+    elif law is None:
         raise UsageError("need --field LAW or --gamma grid")
-    field = parse_field(args.field)
-    return [(field.label(), field)]
+    else:
+        field = parse_field(law)
+        fields = [(field.label(), field)]
+    if len(betas) * len(fields) > GRID_MAX_POINTS:
+        raise CapacityError(f"limit tables are gated at {GRID_MAX_POINTS} cells, "
+                            f"got {len(betas)} x {len(fields)}")
+    _check_writable(*outs)
+    return betas, fields
 
 
-def _require_hierarchical(model):
-    if isinstance(model, NonHierModel):
-        raise ValidationError("this subcommand needs a hierarchical model; use `tfglass nonhier`")
-    return model
-
-
-def cmd_pressure(args) -> int:
-    model = _require_hierarchical(load_model(args.model))
-    hull = concave_hull(model)
-    betas = parse_grid(args.beta)
-    fields = _fields_for(args)
-    _check_writable(args.out)
-    rows = []
+def _cells(hull, betas, fields):
+    """(beta, label, field, qgrem_pressure result) for every cell of the grid, beta-major."""
     for beta in betas:
         for label, field in fields:
-            res = qgrem_pressure(hull, beta, field)
-            rows.append((beta, label, classical_pressure(hull, beta), res.value,
-                         res.argmax, _phase_string(res.block_phases)))
-    _write_csv(args.out, ("beta", "gamma_or_law", "classical", "quantum", "argmax", "block_phases"),
-               rows, _manifest(args))
+            yield beta, label, field, qgrem_pressure(hull, beta, field)
+
+
+def _pressure_table(args, hull, betas, fields, columns, tail) -> int:
+    """Rows of `pressure` and `nonhier`: beta, field, classical, quantum, then ``tail(result)``."""
+    rows = [(beta, label, classical_pressure(hull, beta), res.value, *tail(res))
+            for beta, label, _, res in _cells(hull, betas, fields)]
+    _write_csv(args.out, ("beta", "gamma_or_law", "classical", "quantum", *columns), rows, _manifest(args))
     return EXIT_OK
 
 
+def cmd_pressure(args) -> int:
+    model = load_model(args.model)
+    betas, fields = _limit_grid(args, args.out)
+
+    def tail(res):  # the cut K, then C (classical) or P (paramagnetic) per hull segment
+        return res.argmax, "".join("C" if p is BlockPhase.CLASSICAL else "P" for p in res.block_phases)
+
+    return _pressure_table(args, model_hull(model), betas, fields, ("argmax", "block_phases"), tail)
+
+
 def cmd_phase_diagram(args) -> int:
-    model = _require_hierarchical(load_model(args.model))
-    hull = concave_hull(model)
-    betas = parse_grid(args.beta)
-    gammas = parse_grid(args.gamma)
+    model = load_model(args.model)
     out_tr = args.transitions_out or _derived_transitions_path(args.out)
-    _check_writable(args.out, out_tr)  # both, before either file is written
-    grid_rows = []
-    for beta in betas:
-        for gamma in gammas:
-            field = FieldSpec.constant(gamma)
-            res = qgrem_pressure(hull, beta, field)
-            m_z = magnetization(hull, beta, gamma) if beta > 0 else 0.0
-            grid_rows.append((beta, gamma, res.value, m_z))
+    betas, fields = _limit_grid(args, args.out, out_tr)  # both paths, before either file is written
+    hull = model_hull(model)
+    grid_rows = [(beta, label, res.value, magnetization(hull, beta, field.gamma) if beta > 0 else 0.0)
+                 for beta, label, field, res in _cells(hull, betas, fields)]
     manifest = _manifest(args)
     _write_csv(args.out, ("beta", "gamma", "pressure", "m_z"), grid_rows, manifest)
 
@@ -257,12 +252,8 @@ def cmd_phase_diagram(args) -> int:
     for beta in betas:
         if beta <= 0:
             continue
-        scan = transition_scan(
-            hull, beta,
-            first_order_jump_tol=args.jump_tol,
-            second_order_slope_tol=args.slope_tol,
-            cluster_gap=args.cluster_gap,
-        )
+        scan = transition_scan(hull, beta, first_order_jump_tol=args.jump_tol,
+                               second_order_slope_tol=args.slope_tol, cluster_gap=args.cluster_gap)
         for rank, tr in enumerate(sorted(scan, key=lambda t: -t.gamma), start=1):
             tr_rows.append(("magnetic", rank, beta, tr.gamma, tr.order.value, tr.jump))
     for l, slope in enumerate(hull.slopes, start=1):
@@ -286,22 +277,15 @@ def cmd_nonhier(args) -> int:
     model = load_model(args.model)
     if not isinstance(model, NonHierModel):
         raise ValidationError("this subcommand needs a non-hierarchical model file")
-    betas = parse_grid(args.beta)
-    fields = _fields_for(args)
-    _check_writable(args.out)
+    betas, fields = _limit_grid(args, args.out)
     chain, hull, kink_sets = greedy_reduction(model)
     order = "|".join(str(i) for i in chain.order)
-    rows = []
-    for beta in betas:
-        classical = classical_pressure(hull, beta)
-        for label, field in fields:
-            res = qgrem_pressure(hull, beta, field)
-            d_mask = kink_sets[res.argmax - 1] if res.argmax else 0
-            d_str = "|".join(str(i) for i in indices_of(d_mask)) or "-"
-            rows.append((beta, label, classical, res.value, d_str, res.value, order))
-    _write_csv(args.out, ("beta", "gamma_or_law", "classical", "quantum", "argmax_D",
-                          "greedy_quantum", "greedy_order"), rows, _manifest(args))
-    return EXIT_OK
+
+    def tail(res):  # D, the round set at the cut, or "-" when every block is paramagnetic
+        d_mask = kink_sets[res.argmax - 1] if res.argmax else 0
+        return "|".join(str(i) for i in indices_of(d_mask)) or "-", res.value, order
+
+    return _pressure_table(args, hull, betas, fields, ("argmax_D", "greedy_quantum", "greedy_order"), tail)
 
 
 def cmd_verify(args) -> int:

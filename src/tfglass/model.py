@@ -48,8 +48,9 @@ def _json_numbers(values, what: str) -> list[float]:
 
 
 def ln_2cosh(x):
-    """ln(2 cosh(x)), overflow-safe for large |x|. Works on scalars and arrays."""
-    ax = np.abs(x)
+    """ln(2 cosh(x)), overflow-safe for large |x|. Works on scalars and arrays.  Python's abs
+    keeps a float in Python arithmetic, where -2|x| past 9e307 is -inf with no numpy warning."""
+    ax = abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax))
 
 
@@ -340,9 +341,12 @@ def paramagnetic_pressure(field: FieldSpec, beta: float) -> float:
         value = LN2 + float(sum(p * (ln_2cosh(beta * v) - LN2) for v, p in field.atoms))
     elif field.law is FieldLaw.GAUSSIAN:
         mu, sigma = beta * field.mean, beta * field.stddev
-        value = float(ln_2cosh(mu)) if sigma == 0.0 else _gaussian_ln2cosh_mean(mu, sigma)
+        # sigma <= 1e-6 |mu| (or 0): the point mass, to 2e-13 relative; (mu / sigma)^2 may overflow
+        value = float(ln_2cosh(mu)) if abs(mu) >= 1e6 * sigma else _gaussian_ln2cosh_mean(mu, sigma)
     else:
-        value = LN2 + float(np.mean(ln_2cosh(beta * np.asarray(field.samples)) - LN2))
+        b = np.abs(np.asarray(field.samples))  # past 1e300 ln 2cosh is |x|, and 2|x| or the sum may overflow
+        value = (beta * float((b / b.size).sum()) if beta * float(b.max()) > 1e300
+                 else LN2 + float(np.mean(ln_2cosh(beta * b) - LN2)))
     if not math.isfinite(value):
         raise DomainError("the paramagnetic pressure p(beta * gamma) overflows")
     return value

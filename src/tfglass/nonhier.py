@@ -31,7 +31,8 @@ import numpy as np
 
 from .classical import classical_pressure
 from .errors import CapacityError, ValidationError
-from .model import _SUM_TOL, ConcaveHull, FieldSpec, _json_number, _json_numbers, hull_from_points
+from .model import (_SUM_TOL, ConcaveHull, DistributionSpec, FieldSpec, _json_number, _json_numbers,
+                    concave_hull, hull_from_points)
 from .quantum import qgrem_pressure
 
 GREEDY_MAX_BLOCKS = 20
@@ -264,6 +265,16 @@ def greedy_reduction(model: NonHierModel) -> tuple[Chain, ConcaveHull, tuple[int
         current = best
     hull = hull_from_points([(x, atilde[s]) for x, s in rounds.items()])
     return Chain.from_order(order), hull, tuple(rounds[y] for y in hull.support)
+
+
+def model_hull(spec) -> ConcaveHull:
+    """The hull whose cut formula gives every limit of the model: a profile's concave
+    envelope, or the greedy chain's hull of a non-hierarchical model."""
+    if isinstance(spec, DistributionSpec):
+        return concave_hull(spec)
+    if isinstance(spec, NonHierModel):
+        return greedy_reduction(spec)[1]
+    raise ValidationError(f"unsupported spec type {type(spec).__name__}")
 
 
 def greedy_chain(model: NonHierModel) -> Chain:

@@ -36,14 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .model import (
-    DistributionSpec,
-    FieldSpec,
-    ProfileKind,
-    concave_hull,
-    sample_weights,
-)
-from .nonhier import NonHierModel, indices_of, quantum_nonhier_pressure
+from .model import DistributionSpec, FieldSpec, ProfileKind, sample_weights
+from .nonhier import NonHierModel, indices_of, model_hull
 from .quantum import qgrem_pressure
 
 EXACT_MAX_N = 13  # one REM exact_pressure at N = 13: 72 s, 1,080 MB peak RSS
@@ -108,6 +102,14 @@ def _potential(N: int, ends, levels, rng) -> np.ndarray:
     return U
 
 
+def _check_N(N: int):
+    """Reject a spin count outside 1..STOCH_MAX_N, before anything is drawn or sized by it."""
+    if N < 1:
+        raise ValidationError(f"N must be >= 1, got N={N}")
+    if N > STOCH_MAX_N:
+        raise CapacityError(f"sampling gated at N <= {STOCH_MAX_N}, got N={N}")
+
+
 def sample_instance(spec, field: FieldSpec, N: int, seed) -> FiniteInstance:
     """Draw one disorder realization; bit-identical replay for a fixed seed.
 
@@ -115,10 +117,7 @@ def sample_instance(spec, field: FieldSpec, N: int, seed) -> FiniteInstance:
     resolution N.  Raises when the block rounding ceil(x_k N) leaves a block
     without spins.
     """
-    if N < 1:
-        raise ValidationError("N must be >= 1")
-    if N > STOCH_MAX_N:
-        raise CapacityError(f"sampling gated at N <= {STOCH_MAX_N}")
+    _check_N(N)
     rng = _rng(seed)
     if isinstance(spec, NonHierModel):
         ends = _block_boundaries(np.cumsum(spec.block_lengths), N)
@@ -363,6 +362,7 @@ def sign_invariance_check(inst: FiniteInstance, beta: float, patterns: int = 1, 
 def _replica_phis(spec, field, N, beta, root, replicas, freeze, method, probes, workers) -> np.ndarray:
     """Pressures of the replicas drawn from seeds [*root, r + 1], one pool task per stack or
     stochastic replica.  With ``freeze`` every replica takes the field weights drawn from [*root, 0]."""
+    _check_N(N)  # before the stack size is shifted by it
     seeds = [[*root, r + 1] for r in range(replicas)]
     frozen = sample_weights(field, N, np.random.default_rng([*root, 0])).astype(float) if freeze else None
 
@@ -479,11 +479,7 @@ def _rng(seed) -> np.random.Generator:
 
 def limiting_pressure(spec, field: FieldSpec, beta: float) -> float:
     """Limit value predicted by the closed formulas for the given model."""
-    if isinstance(spec, NonHierModel):
-        return quantum_nonhier_pressure(spec, beta, field)[0]
-    if isinstance(spec, DistributionSpec):
-        return qgrem_pressure(concave_hull(spec), beta, field).value
-    raise ValidationError(f"unsupported spec type {type(spec).__name__}")
+    return qgrem_pressure(model_hull(spec), beta, field).value
 
 
 @dataclass(frozen=True)
@@ -525,6 +521,8 @@ def convergence_study(
     if replicas < 2:
         raise ValidationError("convergence study needs at least 2 replicas for a spread")
     seed = _seed_int(seed)
+    for N in Ns:  # every N before any replica runs
+        _check_N(N)
     limit = limiting_pressure(spec, field, beta)
     rows, phis_all = [], []
     for N in Ns:

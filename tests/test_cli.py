@@ -11,7 +11,7 @@ import pytest
 
 import tfglass
 from tfglass import DistributionSpec, concave_hull, qgrem_critical_fields, qgrem_pressure
-from tfglass.cli import main
+from tfglass.cli import GRID_MAX_POINTS, load_model, main, parse_grid
 from tfglass.model import FieldSpec
 
 from oracles import REM_PRESSURE_B12
@@ -114,9 +114,15 @@ class TestErrors:
                    "--gamma", "1.0", "--out", "-"])
         assert rc == 2
 
-    def test_wrong_model_kind(self, models):
-        assert main(["pressure", "--model", str(models["nh2"]), "--beta", "1.0",
-                     "--gamma", "1.0", "--out", "-"]) == 2
+    def test_wrong_model_kind(self, models, tmp_path):
+        # pressure reads any model through its hull; nonhier still needs a non-hierarchical one
+        grid = ["--model", str(models["nh2"]), "--beta", "0.5:2.5:5", "--gamma", "0:2:5"]
+        assert main(["pressure", *grid, "--out", str(tmp_path / "p.csv")]) == 0
+        assert main(["nonhier", *grid, "--out", str(tmp_path / "nh.csv")]) == 0
+        (p_header, p_rows), (nh_header, nh_rows) = read_rows(tmp_path / "p.csv"), read_rows(tmp_path / "nh.csv")
+        quantum = p_header.index("quantum")
+        assert quantum == nh_header.index("quantum") and len(p_rows) == len(nh_rows) == 25
+        assert [r[quantum] for r in p_rows] == [r[quantum] for r in nh_rows]
         assert main(["nonhier", "--model", str(models["rem"]), "--beta", "1.0",
                      "--gamma", "1.0", "--out", "-"]) == 2
 
@@ -148,6 +154,42 @@ class TestErrors:
     def test_non_finite_grid_is_validation_error(self, models, argv):
         assert main(argv + ["--model", str(models["rem"]), "--out", "-"]) == 2
 
+    @pytest.mark.parametrize("argv, cells", [
+        (["pressure", "--beta", "1.0", "--gamma", f"0:1:{GRID_MAX_POINTS + 1}"], None),
+        (["pressure", "--beta", "0:1:100000000000", "--gamma", "1.0"], None),
+        (["pressure", "--beta", "0:1:101", "--gamma", "0:1:9901"], 101 * 9901),
+        (["phase-diagram", "--beta", "0:1:9901", "--gamma", "0:1:101"], 101 * 9901),
+        (["nonhier", "--beta", "0:1:101", "--gamma", "0:1:9901"], 101 * 9901),
+        (["verify", "--beta", "0:1:100000000000", "--field", "constant:1.0", "--N", "4",
+          "--replicas", "2", "--seed", "1"], None),
+    ], ids=["grid", "huge-grid", "pressure-cells", "phase-diagram-cells", "nonhier-cells", "verify-grid"])
+    def test_grid_beyond_the_gate_is_a_capacity_error(self, models, tmp_path, capsys, argv, cells):
+        # before numpy allocates the grid (745 GiB at 1e11 points) and before the model is reduced
+        if cells is not None:
+            assert cells == GRID_MAX_POINTS + 1
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--model", str(models["nh2"]), "--out", str(out)]) == 4
+        assert last_error(capsys)["error"] == "capacity"
+        assert not out.exists()
+
+    def test_grid_at_the_gate_parses(self):
+        grid = parse_grid(f"0:1:{GRID_MAX_POINTS}")
+        assert len(grid) == GRID_MAX_POINTS and grid[0] == 0.0 and grid[-1] == 1.0
+
+    @pytest.mark.parametrize("Ns, code", [("-4", 2), ("6,-4", 2), ("0", 2), ("6,21", 4)])
+    def test_every_N_is_checked_before_any_replica_runs(self, models, capsys, monkeypatch, Ns, code):
+        # N = -4 would reach a negative shift count (exit 1), and N = 6 would run before it
+        from tfglass import verify
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("a replica ran before every N was checked")
+
+        monkeypatch.setattr(verify, "_replica_phis", no_replicas)
+        rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0", "--beta", "1.2",
+                   "--N", Ns, "--replicas", "2", "--seed", "1", "--out", "-"])
+        assert rc == code
+        assert last_error(capsys)["error"] == ("validation" if code == 2 else "capacity")
+
     def test_missing_seed_for_verify(self, models):
         rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
                    "--beta", "1.2", "--N", "4", "--replicas", "5", "--out", "-"])
@@ -167,6 +209,23 @@ class TestPhaseDiagram:
         glass = [r for r in rows if r[0] == "glass"]
         assert len(glass) == 1
         assert float(glass[0][2]) == pytest.approx(math.sqrt(2 * math.log(2)), abs=1e-12)
+
+    def test_non_hierarchical_model_reads_its_greedy_hull(self, models, tmp_path):
+        out = tmp_path / "nhpd.csv"
+        assert main(["phase-diagram", "--model", str(models["nh2"]), "--beta", "0.5:2.5:5",
+                     "--gamma", "0:2:5", "--out", str(out)]) == 0
+        hull = tfglass.greedy_reduction(load_model(str(models["nh2"])))[1]
+        _, grid = read_rows(out)
+        assert len(grid) == 25
+        for beta, gamma, pressure, m_z in grid:
+            beta, gamma = float(beta), float(gamma)
+            assert float(pressure) == qgrem_pressure(hull, beta, FieldSpec.constant(gamma)).value
+            assert float(m_z) == tfglass.magnetization(hull, beta, gamma)
+        _, rows = read_rows(tmp_path / "nhpd-transitions.csv")
+        magnetic = [r for r in rows if r[0] == "magnetic"]
+        assert {float(r[2]) for r in magnetic} == {0.5, 1.0, 1.5, 2.0, 2.5}
+        for _, _, beta, gamma, _, _ in magnetic:
+            assert float(gamma) in qgrem_critical_fields(hull, float(beta))
 
     def test_grid_contains_pressure_and_magnetization(self, models, tmp_path):
         out = tmp_path / "grid.csv"
@@ -325,14 +384,15 @@ class TestUnwritableOutput:
         ["nonhier", "--model", "{nh2}", "--beta", "1.2", "--gamma", "0:1:2", "--out", "{bad}"],
     ], ids=["pressure", "phase-diagram-transitions", "verify", "nonhier"])
     def test_exits_2_with_one_validation_line(self, models, tmp_path, capsys, monkeypatch, argv, target):
-        # every output path is checked before any work runs: verify's
-        # replicas never start, and no file is written at --out
+        # every output path is checked before any work runs: no model is
+        # reduced, verify's replicas never start, and no file is written at --out
         from tfglass import cli
 
-        def no_replicas(*args, **kwargs):
-            raise AssertionError("replicas ran before the output path was checked")
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output path was checked")
 
-        monkeypatch.setattr(cli, "convergence_study", no_replicas)
+        for name in ("convergence_study", "model_hull", "greedy_reduction"):
+            monkeypatch.setattr(cli, name, no_work)
         bad = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
         paths = {**models, "ok": tmp_path / "ok.csv", "bad": bad}
         assert main([arg.format(**paths) for arg in argv]) == 2
@@ -370,6 +430,14 @@ class TestHugeBeta:
         _, rows = read_rows(out)
         assert len(rows) == 2
         assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[3])) for r in rows), rows
+
+    def test_gaussian_field_with_a_huge_mean_exits_0(self, models, tmp_path):
+        # squaring mu / sigma would overflow; p is |beta mu| = 1.2e300
+        out = tmp_path / "p.csv"
+        assert main(["pressure", "--model", str(models["rem"]), "--beta", "1.2", "--field", "gaussian:1e300,1",
+                     "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert float(rows[0][3]) == pytest.approx(1.2e300, rel=1e-15)
 
     def test_overflowing_field_exits_2(self, flat, capsys):
         assert main(["pressure", "--model", str(flat), "--beta", "1e200", "--field", "constant:1e200",

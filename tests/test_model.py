@@ -1,6 +1,7 @@
 """Profiles, concave envelopes, field laws."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -277,6 +278,36 @@ class TestParamagneticPressure:
                 want = float(mp_gaussian_paramagnetic(mean, sd, 1.0))
                 got = paramagnetic_pressure(FieldSpec.gaussian(mean, sd), 1.0)
                 assert got == pytest.approx(want, abs=1e-10), (mean, sd)
+
+    def test_gaussian_far_narrower_than_its_mean_is_its_point_mass(self):
+        # the quadrature's width |mu| + 12 sigma - (|mu| - 12 sigma) rounds away once
+        # sigma nears the ulp of mu: at sigma = 1e-20 it would read |mu| = 1.0 alone
+        for sd in (1e-7, 1e-9, 1e-12, 1e-17, 1e-20):
+            for mean in (0.5, 1.2, -3.0):
+                want = float(mp_gaussian_paramagnetic(mean, sd, 1.0))
+                got = paramagnetic_pressure(FieldSpec.gaussian(mean, sd), 1.0)
+                assert got == pytest.approx(want, rel=1e-12), (mean, sd)
+
+    @pytest.mark.parametrize("mean, sd, beta", [(1e200, 1.0, 1.0), (-1e300, 1.0, 1.0), (1e150, 1e-10, 1e150)])
+    def test_gaussian_with_a_huge_mean_is_its_absolute_value(self, mean, sd, beta):
+        # squaring mu / sigma would overflow; the value is |beta mu|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = paramagnetic_pressure(FieldSpec.gaussian(mean, sd), beta)
+        assert got == pytest.approx(abs(beta * mean), rel=1e-15)
+
+    @pytest.mark.parametrize("field, want", [
+        (FieldSpec.constant(1e300), 1e308),
+        (FieldSpec.discrete([(1e300, 0.5), (-1e300, 0.5)]), 1e308),
+        (FieldSpec.empirical([1e300, -1e300]), 1e308),
+        (FieldSpec.empirical([1e300, 0.0]), 5e307),
+    ])
+    def test_field_near_the_float_limit_is_finite_without_a_numpy_warning(self, field, want):
+        # beta |b| = 1e308 is finite, but numpy's scalar -2|x| in ln 2cosh overflows with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = paramagnetic_pressure(field, 1e8)
+        assert got == pytest.approx(want, rel=1e-15)
 
     def test_empirical_is_sample_mean(self):
         samples = [0.3, -1.2, 2.0]

@@ -1,6 +1,7 @@
 """Subset-weight models: chains, induced hierarchies, greedy reduction."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,11 +22,14 @@ from tfglass import (
     greedy_quantum_pressure,
     greedy_reduction,
     paramagnetic_pressure,
+    qgrem_critical_fields,
     quantum_nonhier_pressure,
     transition_scan,
 )
-from tfglass.model import hull_from_points
-from tfglass.nonhier import indices_of, mask_of
+from tfglass.cli import main
+from tfglass.model import hull_from_points, ln_2cosh
+from tfglass.nonhier import indices_of, mask_of, model_hull
+from tfglass.verify import limiting_pressure
 
 from conftest import float_bits, random_field, random_nonhier
 from oracles import (
@@ -412,3 +416,75 @@ def test_beta_zero_leaves_every_block_paramagnetic(rng, law):
         value, d_mask = quantum_nonhier_pressure(model, 0.0, field)
         assert d_mask == 0
         assert value == paramagnetic_pressure(field, 0.0)
+
+
+def _model_doc(model):
+    """The model file of a NonHierModel: JSON floats round-trip exactly."""
+    return {"n": model.n, "L": list(model.block_lengths),
+            "weights": {",".join(map(str, indices_of(mask))): a for mask, a in model.weights.items()}}
+
+
+class TestModelHull:
+    def test_each_kind_gives_the_hull_of_its_limits(self, rng):
+        spec = DistributionSpec.from_jumps([0.7, 0.3], [0.5, 1.0])
+        assert model_hull(spec) == concave_hull(spec)
+        for _ in range(20):
+            model = random_nonhier(rng)
+            assert model_hull(model) == greedy_reduction(model)[1]
+
+    def test_other_types_are_rejected(self):
+        for bad in (None, concave_hull(DistributionSpec.rem()), {"n": 1}):
+            with pytest.raises(ValidationError, match="unsupported spec type"):
+                model_hull(bad)
+
+    def test_limiting_pressure_is_bitwise_the_max_min(self, rng):
+        for _ in range(30):
+            model = random_nonhier(rng, max_blocks=6)
+            field, beta = random_field(rng), float(rng.uniform(0.0, 3.0))
+            want, _ = quantum_nonhier_pressure(model, beta, field)
+            assert limiting_pressure(model, field, beta).hex() == want.hex()
+
+
+class TestPhaseDiagramAgainstMaxMin:
+    """`phase-diagram` on a non-hierarchical model against the exhaustive
+    max-min over terminal sets D and the chains ending there, which shares
+    no code with the greedy hull: m_z is its field derivative over beta, and
+    each critical field is where its maximizing D changes."""
+
+    H = 1e-5  # central-difference step; its error is O(H^2) plus rounding over H, near 1e-11
+    AWAY = 1e-3  # cells this close to a critical field are skipped: m_z jumps there
+
+    @staticmethod
+    def maxmin(model, inner, beta, gamma):
+        cand = maxmin_candidates(model, inner, float(ln_2cosh(beta * gamma)))
+        best = max(cand, key=cand.get)
+        return cand[best], best
+
+    def test_magnetization_and_critical_fields(self, rng, tmp_path):
+        betas, gammas = "0.5:2.5:5", "0:2.5:26"
+        cells = crit_fields = 0
+        for k in range(24):
+            model = random_nonhier(rng, n=2 + k % 5)  # n = 2..6
+            path, out = tmp_path / f"nh{k}.json", tmp_path / f"nh{k}.csv"
+            path.write_text(json.dumps(_model_doc(model)))
+            assert main(["phase-diagram", "--model", str(path), "--beta", betas, "--gamma", gammas,
+                         "--out", str(out)]) == 0
+            rows = [list(map(float, line.split(","))) for line in out.read_text().splitlines()[2:]]
+            hull = model_hull(model)
+            for beta in sorted({r[0] for r in rows}):
+                inner = chain_min_pressures(model, beta)
+                crit = qgrem_critical_fields(hull, beta)
+                for _, gamma, _, m_z in (r for r in rows if r[0] == beta):
+                    if min(abs(gamma - gc) for gc in crit) < self.AWAY:
+                        continue
+                    hi = self.maxmin(model, inner, beta, gamma + self.H)[0]
+                    lo = self.maxmin(model, inner, beta, gamma - self.H)[0]
+                    assert m_z == pytest.approx((hi - lo) / (2 * self.H * beta), abs=1e-8), (k, beta, gamma)
+                    cells += 1
+                for gc, slope in zip(crit, hull.slopes):
+                    if slope > 0.0:
+                        below = self.maxmin(model, inner, beta, gc * (1 - 1e-7))[1]
+                        above = self.maxmin(model, inner, beta, gc * (1 + 1e-7))[1]
+                        assert below != above, (k, beta, gc)
+                        crit_fields += 1
+        assert cells > 2500 and crit_fields > 150

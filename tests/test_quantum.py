@@ -1,6 +1,7 @@
 """Quantum pressures, critical fields, magnetization, transition scan."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,14 @@ class TestMagnetization:
     def test_saturation_at_large_field(self):
         assert magnetization(GREM, 1.2, 30.0) == pytest.approx(math.tanh(1.2 * 30.0))
 
+    def test_saturates_at_a_huge_field_without_a_numpy_warning(self):
+        # beta gamma = 1e308 is finite, but numpy's scalar -2|x| in ln 2cosh overflows with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert magnetization(GREM, 1e8, 1e300) == 1.0
+            res = qgrem_pressure(GREM, 1e8, FieldSpec.constant(1e300))
+        assert res.value == 1e308 and res.argmax == 0
+
     def test_bounded(self, rng):
         for _ in range(150):
             hull = concave_hull(random_spec(rng))
@@ -524,10 +533,12 @@ class TestHugeBeta:
         FieldSpec.empirical([1e200, 1.0]),
     ], ids=["constant", "discrete", "gaussian-mean", "gaussian-spread", "empirical"])
     def test_overflowing_paramagnet_is_a_domain_error(self, field):
-        with pytest.raises(DomainError, match="overflows"):
-            paramagnetic_pressure(field, 1e200)
-        with pytest.raises(DomainError, match="overflows"):
-            qgrem_pressure(self.FLAT, 1e200, field)
+        with warnings.catch_warnings():  # and no numpy overflow warning comes first
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                paramagnetic_pressure(field, 1e200)
+            with pytest.raises(DomainError, match="overflows"):
+                qgrem_pressure(self.FLAT, 1e200, field)
 
     def test_overflowing_closed_form_is_a_domain_error(self):
         with pytest.raises(DomainError, match="overflows"):

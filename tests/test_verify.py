@@ -570,6 +570,12 @@ class TestConcentration:
         with pytest.raises(ValidationError):
             concentration_check(REM_SPEC, CONST1, 6, 1.0, replicas=100, seed=0)
 
+    @pytest.mark.parametrize("N, error", [(-4, ValidationError), (0, ValidationError), (21, CapacityError)])
+    def test_spin_count_outside_the_gate(self, N, error):
+        # N = -4 would reach numpy's negative-dimension error before sample_instance's check
+        with pytest.raises(error, match=f"N={N}"):
+            concentration_check(REM_SPEC, CONST1, N, 1.0, replicas=200, seed=0)
+
     def test_infinite_temperature_is_deterministic(self):
         rep = concentration_check(REM_SPEC, CONST1, 4, 0.0, replicas=200, seed=1)
         assert rep.fractions == (0.0, 0.0, 0.0)
