@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -35,7 +36,8 @@ from .quantum import (
     qgrem_pressure,
     transition_scan,
 )
-from .verify import concentration_check, convergence_study, sample_instance, sign_invariance_check
+from .verify import (concentration_check, convergence_study, sample_instance, sign_invariance_check,
+                     check_limit_range)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,9 +68,11 @@ def _fmt(x) -> str:
 
 
 def _write_csv(out: str, header, rows, manifest: str):
-    lines = [manifest, ",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    """Rows formatted as they are computed into one text, written once: no row or line list is held."""
+    buf = io.StringIO()
+    buf.write(f"{manifest}\n{','.join(header)}\n")
+    buf.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+    text = buf.getvalue()
     if out == "-":
         sys.stdout.write(text)
         return
@@ -222,8 +226,8 @@ def _cells(hull, betas, fields):
 
 def _pressure_table(args, hull, betas, fields, columns, tail) -> int:
     """Rows of `pressure` and `nonhier`: beta, field, classical, quantum, then ``tail(result)``."""
-    rows = [(beta, label, classical_pressure(hull, beta), res.value, *tail(res))
-            for beta, label, _, res in _cells(hull, betas, fields)]
+    rows = ((beta, label, classical_pressure(hull, beta), res.value, *tail(res))
+            for beta, label, _, res in _cells(hull, betas, fields))
     _write_csv(args.out, ("beta", "gamma_or_law", "classical", "quantum", *columns), rows, _manifest(args))
     return EXIT_OK
 
@@ -243,25 +247,21 @@ def cmd_phase_diagram(args) -> int:
     out_tr = args.transitions_out or _derived_transitions_path(args.out)
     betas, fields = _limit_grid(args, args.out, out_tr)  # both paths, before either file is written
     hull = model_hull(model)
-    grid_rows = [(beta, label, res.value, magnetization(hull, beta, field.gamma) if beta > 0 else 0.0)
-                 for beta, label, field, res in _cells(hull, betas, fields)]
+    grid_rows = ((beta, label, res.value, magnetization(hull, beta, field.gamma) if beta > 0 else 0.0)
+                 for beta, label, field, res in _cells(hull, betas, fields))
     manifest = _manifest(args)
     _write_csv(args.out, ("beta", "gamma", "pressure", "m_z"), grid_rows, manifest)
 
-    tr_rows = []
-    for beta in betas:
-        if beta <= 0:
-            continue
-        scan = transition_scan(hull, beta, first_order_jump_tol=args.jump_tol,
-                               second_order_slope_tol=args.slope_tol, cluster_gap=args.cluster_gap)
-        for rank, tr in enumerate(sorted(scan, key=lambda t: -t.gamma), start=1):
-            tr_rows.append(("magnetic", rank, beta, tr.gamma, tr.order.value, tr.jump))
-    for l, slope in enumerate(hull.slopes, start=1):
-        if slope <= 0.0:
-            continue
-        beta_l = math.sqrt(2.0 * LN2 / slope)
-        gamma_end = qgrem_critical_fields(hull, beta_l)[l - 1]
-        tr_rows.append(("glass", l, beta_l, gamma_end, "second", 0.0))
+    magnetic = (("magnetic", rank, beta, tr.gamma, tr.order.value, tr.jump)
+                for beta in betas if beta > 0
+                for rank, tr in enumerate(sorted(
+                    transition_scan(hull, beta, first_order_jump_tol=args.jump_tol,
+                                    second_order_slope_tol=args.slope_tol, cluster_gap=args.cluster_gap),
+                    key=lambda t: -t.gamma), start=1))
+    glass = (("glass", l, beta_l, qgrem_critical_fields(hull, beta_l)[l - 1], "second", 0.0)
+             for l, slope in enumerate(hull.slopes, start=1) if slope > 0.0
+             for beta_l in (math.sqrt(2.0 * LN2 / slope),))
+    tr_rows = (row for rows in (magnetic, glass) for row in rows)
     _write_csv(out_tr, ("kind", "index", "beta", "gamma", "order", "jump"), tr_rows, manifest)
     return EXIT_OK
 
@@ -296,6 +296,8 @@ def cmd_verify(args) -> int:
     if not Ns:
         raise UsageError("verify needs a non-empty --N list")
     _check_writable(args.out)
+    for beta in betas:  # the supported range, before any replica runs
+        check_limit_range(model, field, beta, args.tol_limit_gap)
     label = field.label()
 
     rows = []

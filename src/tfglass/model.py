@@ -48,9 +48,9 @@ def _json_numbers(values, what: str) -> list[float]:
 
 
 def ln_2cosh(x):
-    """ln(2 cosh(x)), overflow-safe for large |x|. Works on scalars and arrays.  Python's abs
-    keeps a float in Python arithmetic, where -2|x| past 9e307 is -inf with no numpy warning."""
-    ax = abs(x)
+    """ln(2 cosh(x)), overflow-safe for large |x|. Works on scalars and arrays.  A scalar, 0-d
+    numpy ones included, is taken to a Python float, where -2|x| past 9e307 is -inf with no numpy warning."""
+    ax = abs(x if type(x) is float or np.ndim(x) else float(x))
     return ax + np.log1p(np.exp(-2.0 * ax))
 
 
@@ -230,12 +230,12 @@ class FieldLaw(enum.Enum):
     EMPIRICAL = "empirical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSpec:
     """Law of the i.i.d. transversal field weights b_j.
 
     All four variants have a finite first absolute moment, which is what the
-    limit theorems require.
+    limit theorems require.  Slotted: a limit table keeps one law per field point.
     """
 
     law: FieldLaw
@@ -309,21 +309,20 @@ def _gaussian_ln2cosh_mean(mu: float, sigma: float) -> float:
     reaches machine precision.  (Plain Gauss-Hermite converges poorly here
     because ln 2 cosh bends sharply at 0 when sigma is large.)
     """
-    mean_abs = sigma * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * (mu / sigma) ** 2)
-    mean_abs += mu * math.erf(mu / (sigma * math.sqrt(2.0)))
+    m, r = abs(mu), abs(mu) / sigma
+    mean_abs = sigma * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * r * r) + m * math.erf(r / math.sqrt(2.0))
     # remainder integrand decays like exp(-2t): truncate where it underflows,
     # and to the folded density's bump at |mu| +- 12 sigma, so a narrow law
-    # still gets all the nodes
-    lower = max(0.0, abs(mu) - 12.0 * sigma)
-    upper = min(30.0, abs(mu) + 12.0 * sigma)
-    if upper <= lower:
+    # still gets all the nodes.  The rule runs in z = (t - |mu|) / sigma, with
+    # its interval taken from z's endpoints: a width formed from the rounded
+    # t-endpoints |mu| +- 12 sigma would lose ulp(mu) / sigma relative
+    lo, hi = max(-r, -12.0), min((30.0 - m) / sigma, 12.0)
+    if hi <= lo:
         return mean_abs
     x, w = _leggauss()
-    t = lower + 0.5 * (upper - lower) * (x + 1.0)
-    folded = (
-        np.exp(-0.5 * ((t - mu) / sigma) ** 2) + np.exp(-0.5 * ((t + mu) / sigma) ** 2)
-    ) / (sigma * math.sqrt(2.0 * math.pi))
-    remainder = 0.5 * (upper - lower) * float(w @ (np.log1p(np.exp(-2.0 * t)) * folded))
+    z = lo + 0.5 * (hi - lo) * (x + 1.0)
+    folded = (np.exp(-0.5 * z * z) + np.exp(-0.5 * (z + 2.0 * r) ** 2)) / math.sqrt(2.0 * math.pi)
+    remainder = 0.5 * (hi - lo) * float(w @ (np.log1p(np.exp(-2.0 * (m + sigma * z))) * folded))
     return mean_abs + remainder
 
 

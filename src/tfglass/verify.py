@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, DomainError, ValidationError
 from .model import DistributionSpec, FieldSpec, ProfileKind, sample_weights
 from .nonhier import NonHierModel, indices_of, model_hull
 from .quantum import qgrem_pressure
@@ -46,6 +46,8 @@ STACK_BYTES = 8 << 20  # bytes of dense Hamiltonians per eigensolve call: one N 
 TILE_COLS = 32  # probe columns per Lanczos tile: 1 MB per vector block at N = 12
 TRUNCATION_EPS = 1e-6  # per spin: width of each probe's Gauss/Gauss-Radau bracket at its last step
 CONCENTRATION_T_VALUES = (1.0, 2.0, 3.0)  # deviations t*beta/sqrt(N) tested against 2 exp(-t^2/4)
+LIMIT_ROUNDING = 1e-12  # relative rounding of a replica pressure: about dim * eps of eigvalsh at N = 13
+MAX_LIMIT = 1e150  # replica statistics square the pressures, which must stay finite
 
 
 @dataclass(frozen=True)
@@ -480,6 +482,17 @@ def _rng(seed) -> np.random.Generator:
 def limiting_pressure(spec, field: FieldSpec, beta: float) -> float:
     """Limit value predicted by the closed formulas for the given model."""
     return qgrem_pressure(model_hull(spec), beta, field).value
+
+
+def check_limit_range(spec, field: FieldSpec, beta: float, tol: float):
+    """Reject a limit whose gap cannot be checked against the absolute tolerance ``tol``: its
+    rounding, LIMIT_ROUNDING relative, must stay a hundred times below tol, and squares of
+    pressures near it must not overflow.  So |limit| <= min(1e10 tol, MAX_LIMIT), else DomainError."""
+    limit = limiting_pressure(spec, field, beta)
+    bound = min(tol / (100.0 * LIMIT_ROUNDING), MAX_LIMIT)
+    if not abs(limit) <= bound:  # a nan tolerance fails too
+        raise DomainError(f"verify supports limits up to {bound:.3g} in size at gap tolerance {tol:g}, "
+                          f"got {limit:.6g} at beta={beta:g}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,20 @@ class TestPressure:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_are_formatted_as_they_are_computed(self, models, tmp_path):
+        # 10^5 rows (6.6 MB of CSV): holding every row tuple and line beside the text peaked at
+        # 68 MB; with only the text and the laws of the field grid it is 41 MB
+        out = tmp_path / "p.csv"
+        tracemalloc.start()
+        try:
+            rc = main(["pressure", "--model", str(models["grem2"]), "--beta", "1.2", "--gamma", "0:2:100000",
+                       "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and len(read_rows(out)[1]) == 100_000
+        assert peak <= 48.0, f"tracemalloc peak {peak:.1f} MB"
 
     def test_field_labels_keep_column_structure(self, models, tmp_path):
         # law labels must not smuggle commas into the CSV
@@ -364,6 +380,43 @@ class TestVerify:
         err = captured.err.splitlines()
         assert sum(line.startswith("note: concentration check skipped") for line in err) == 2
         assert sum(line.startswith("PASS ") for line in err) == 4
+
+
+class TestVerifyRange:
+    """verify checks a gap to the limit against an absolute tolerance, so it supports limits whose
+    rounding (1e-12 relative) stays a hundred times below the tolerance, and at most 1e150, whose
+    replica statistics square without overflow: |limit| <= 1.5e9 at the default 0.15."""
+
+    @pytest.mark.parametrize("beta, field", [("1e300", "constant:1.0"), ("1.2", "constant:1e300"),
+                                             ("1.2", "gaussian:1e300,1"), ("1.2:1e300:2", "constant:1.0")],
+                             ids=["beta", "constant", "gaussian", "second-beta"])
+    def test_limit_beyond_the_range_exits_2_before_any_replica(self, models, capsys, monkeypatch, beta, field):
+        # without the range check every replica ran, numpy warned of overflow, and verify exited 3
+        from tfglass import cli
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("a replica ran before the range was checked")
+
+        monkeypatch.setattr(cli, "convergence_study", no_replicas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["verify", "--model", str(models["rem"]), "--field", field, "--beta", beta,
+                       "--N", "4,6", "--replicas", "4", "--seed", "7", "--out", "-"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        error = json.loads(captured.err)
+        assert error["error"] == "validation" and "1.5e+09" in error["message"]
+
+    @pytest.mark.parametrize("tol, code", [("1e-2", 2), ("1e-1", 3), ("nan", 2)])
+    def test_the_range_scales_with_the_tolerance(self, models, capsys, tol, code):
+        # at beta = 1e8 the limit is 1.2e8: in range from a tolerance of 0.012 on, where the
+        # finite-size gap (about 0.13 beta at N = 4) fails the check without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0", "--beta", "1e8",
+                       "--N", "4", "--replicas", "4", "--seed", "7", "--tol-limit-gap", tol, "--out", "-"])
+        assert rc == code
 
 
 def last_error(capsys):

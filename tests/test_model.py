@@ -279,6 +279,16 @@ class TestParamagneticPressure:
                 got = paramagnetic_pressure(FieldSpec.gaussian(mean, sd), 1.0)
                 assert got == pytest.approx(want, abs=1e-10), (mean, sd)
 
+    @pytest.mark.parametrize("mean", [0.3, -1.7, 2.5])
+    def test_narrow_gaussian_keeps_its_precision_up_to_the_point_mass_cut(self, mean):
+        # a quadrature interval of width 24 sigma formed from the rounded endpoints |mu| +- 12 sigma
+        # loses ulp(mu) / sigma relative: 6.2e-12 at |mu| / sigma = 3e5
+        for ratio in (1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 9e5):
+            sd = abs(mean) / ratio
+            want = float(mp_gaussian_paramagnetic(mean, sd, 1.0))
+            got = paramagnetic_pressure(FieldSpec.gaussian(mean, sd), 1.0)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (mean, ratio)
+
     def test_gaussian_far_narrower_than_its_mean_is_its_point_mass(self):
         # the quadrature's width |mu| + 12 sigma - (|mu| - 12 sigma) rounds away once
         # sigma nears the ulp of mu: at sigma = 1e-20 it would read |mu| = 1.0 alone
@@ -308,6 +318,14 @@ class TestParamagneticPressure:
             warnings.simplefilter("error")
             got = paramagnetic_pressure(field, 1e8)
         assert got == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [np.float64(1e308), np.float64(-1.7e308), np.array(1e308), np.float64(0.7)])
+    def test_numpy_scalar_takes_the_float_path_without_a_warning(self, x):
+        # Python's abs keeps only a Python float out of numpy's scalar -2|x|, which overflows past 9e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ln_2cosh(x)
+        assert float_bits([got]) == float_bits([ln_2cosh(float(x))])
 
     def test_empirical_is_sample_mean(self):
         samples = [0.3, -1.2, 2.0]

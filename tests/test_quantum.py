@@ -282,6 +282,12 @@ class TestMagnetization:
             res = qgrem_pressure(GREM, 1e8, FieldSpec.constant(1e300))
         assert res.value == 1e308 and res.argmax == 0
 
+    def test_numpy_scalar_beta_saturates_without_a_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert magnetization(GREM, np.float64(1e8), 1e300) == 1.0
+            assert magnetization(GREM, 1e8, np.float64(1e300)) == 1.0
+
     def test_bounded(self, rng):
         for _ in range(150):
             hull = concave_hull(random_spec(rng))
