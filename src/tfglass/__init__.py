@@ -29,7 +29,6 @@ from .nonhier import (
     quantum_nonhier_pressure,
 )
 from .quantum import (
-    BlockPhase,
     QuantumPressureResult,
     Transition,
     TransitionOrder,

@@ -29,13 +29,7 @@ from .classical import classical_pressure
 from .errors import CapacityError, DomainError, ValidationError
 from .model import LN2, DistributionSpec, FieldSpec, _json_number, _json_numbers
 from .nonhier import NonHierModel, greedy_reduction, indices_of, model_hull
-from .quantum import (
-    BlockPhase,
-    magnetization,
-    qgrem_critical_fields,
-    qgrem_pressure,
-    transition_scan,
-)
+from .quantum import magnetization, qgrem_critical_fields, qgrem_pressure, transition_scan
 from .verify import (concentration_check, convergence_study, sample_instance, sign_invariance_check,
                      check_limit_range)
 
@@ -235,11 +229,12 @@ def _pressure_table(args, hull, betas, fields, columns, tail) -> int:
 def cmd_pressure(args) -> int:
     model = load_model(args.model)
     betas, fields = _limit_grid(args, args.out)
+    hull = model_hull(model)
 
-    def tail(res):  # the cut K, then C (classical) or P (paramagnetic) per hull segment
-        return res.argmax, "".join("C" if p is BlockPhase.CLASSICAL else "P" for p in res.block_phases)
+    def tail(res):  # the cut K, then C (classical) for segments 1..K and P (paramagnetic) for the rest
+        return res.argmax, "C" * res.argmax + "P" * (hull.m - res.argmax)
 
-    return _pressure_table(args, model_hull(model), betas, fields, ("argmax", "block_phases"), tail)
+    return _pressure_table(args, hull, betas, fields, ("argmax", "block_phases"), tail)
 
 
 def cmd_phase_diagram(args) -> int:
@@ -296,12 +291,14 @@ def cmd_verify(args) -> int:
     if not Ns:
         raise UsageError("verify needs a non-empty --N list")
     _check_writable(args.out)
+    hull = model_hull(model)
     for beta in betas:  # the supported range, before any replica runs
-        check_limit_range(model, field, beta, args.tol_limit_gap)
+        check_limit_range(qgrem_pressure(hull, beta, field).value, beta, args.tol_limit_gap)
     label = field.label()
 
     rows = []
     checks = []  # (name, passed, detail)
+    n_sign, sign_inst = min(min(Ns), 8), None
     for beta in betas:
         study = convergence_study(
             model, field, beta, Ns, args.replicas, args.seed,
@@ -318,9 +315,10 @@ def cmd_verify(args) -> int:
             f"|mean - limit| = {_fmt(last.gap)} (tol {_fmt(args.tol_limit_gap)}, limit {_fmt(study.limit)})",
         ))
 
-        n_sign = min(min(Ns), 8)
-        inst = sample_instance(model, field, n_sign, [args.seed, 987])
-        dev = sign_invariance_check(inst, beta, patterns=5, seed=args.seed)
+        # one instance serves every beta (its seed does not depend on beta); drawn after the first
+        # study, so a bad --N is still reported by convergence_study
+        sign_inst = sign_inst or sample_instance(model, field, n_sign, [args.seed, 987])
+        dev = sign_invariance_check(sign_inst, beta, patterns=5, seed=args.seed)
         checks.append((
             f"sign-invariance beta={_fmt(beta)} N={n_sign}",
             dev <= 1e-8,

@@ -34,16 +34,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .classical import PartialPressureTable, crem_truncated_pressure, partial_pressures
 from .errors import DomainError, ValidationError
 from .model import LN2, ConcaveHull, FieldSpec, ln_2cosh, paramagnetic_pressure
-
-
-class BlockPhase(enum.Enum):
-    CLASSICAL = "classical"
-    PARAMAGNETIC = "paramagnetic"
 
 
 class TransitionOrder(enum.Enum):
@@ -55,14 +49,13 @@ class TransitionOrder(enum.Enum):
 class QuantumPressureResult:
     """Value of the variational formula plus the maximizer that attained it.
 
-    ``argmax`` is the cut index K (step formula) or the cut point z (truncated
-    formula); ``block_phases`` tags each hull segment left of the cut as
-    classical, right of it as paramagnetic.
+    ``argmax`` is the cut index K (step formula) or the cut point z = y_K
+    (truncated formula): hull segments 1..K keep their classical partial
+    pressure, segments K+1..m are paramagnetic.
     """
 
     value: float
     argmax: float
-    block_phases: tuple[BlockPhase, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,13 +71,6 @@ class Transition:
 def _require_full_span(hull: ConcaveHull):
     if abs(hull.span - 1.0) > 1e-12:
         raise ValidationError("quantum formulas need a hull spanning [0, 1]")
-
-
-@lru_cache(maxsize=256)
-def _phases(m: int, cut: int) -> tuple[BlockPhase, ...]:
-    return tuple(
-        BlockPhase.CLASSICAL if l < cut else BlockPhase.PARAMAGNETIC for l in range(m)
-    )
 
 
 def _cut(hull: ConcaveHull, table: PartialPressureTable, p: float) -> tuple[int, float]:
@@ -114,7 +100,7 @@ def qgrem_pressure(hull: ConcaveHull, beta: float, field: FieldSpec) -> QuantumP
     p = paramagnetic_pressure(field, beta)
     table = partial_pressures(hull, beta)
     k, y_k = _cut(hull, table, p)
-    return QuantumPressureResult(table.prefix[k] + (1.0 - y_k) * p, k, _phases(hull.m, k))
+    return QuantumPressureResult(table.prefix[k] + (1.0 - y_k) * p, k)
 
 
 def _acosh_exp(x: float) -> float:
@@ -148,7 +134,7 @@ def qcrem_pressure(hull: ConcaveHull, beta: float, field: FieldSpec) -> QuantumP
     """
     res = qgrem_pressure(hull, beta, field)
     cut = hull.support[res.argmax - 1] if res.argmax else 0.0
-    return QuantumPressureResult(res.value, cut, res.block_phases)
+    return QuantumPressureResult(res.value, cut)
 
 
 def qcrem_closed_form(hull: ConcaveHull, beta: float, gamma: float) -> float:

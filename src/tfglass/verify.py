@@ -62,8 +62,7 @@ class FiniteInstance:
     def __post_init__(self):
         # safety: a short potential or a non-finite entry would surface as a
         # scipy ValueError or a LinAlgError deep inside a solver
-        if not 1 <= self.N <= STOCH_MAX_N:
-            raise CapacityError(f"finite instances are gated at 1 <= N <= {STOCH_MAX_N}, got N={self.N}")
+        _check_N(self.N)
         U, b = np.asarray(self.potential, dtype=float), np.asarray(self.field_weights, dtype=float)
         if U.shape != (1 << self.N,) or b.shape != (self.N,):
             raise ValidationError(f"need 2^N energies and N field weights at N={self.N}, "
@@ -110,6 +109,13 @@ def _check_N(N: int):
         raise ValidationError(f"N must be >= 1, got N={N}")
     if N > STOCH_MAX_N:
         raise CapacityError(f"sampling gated at N <= {STOCH_MAX_N}, got N={N}")
+
+
+def _check_beta(beta: float):
+    """Reject a beta outside [0, inf), as the closed forms do: a nan, infinite or negative
+    beta would otherwise give a number (or a warning) instead of an error."""
+    if not 0.0 <= beta < math.inf:
+        raise DomainError("beta must be finite and >= 0")
 
 
 def sample_instance(spec, field: FieldSpec, N: int, seed) -> FiniteInstance:
@@ -178,6 +184,7 @@ def _pressure_from_levels(levels: np.ndarray, beta: float, N: int):
 
 def exact_pressure(inst: FiniteInstance, beta: float) -> float:
     """(1/N) ln Tr exp(-beta H) from the full spectrum."""
+    _check_beta(beta)
     return float(_pressure_from_levels(_spectra([inst]), beta, inst.N)[0])
 
 
@@ -326,6 +333,7 @@ def stochastic_pressure(
     quadratic forms.  ``degree`` is the largest Lanczos step count.  With
     ``tol``, an error above it is flagged (converged=False), not hidden.
     """
+    _check_beta(beta)
     lo, log_g, log_r, steps = _stochastic_traces(inst, [beta], probes, seed)
     shift = float(log_g.max())
     samples = np.exp(log_g[0] - shift)  # trace samples over exp(shift): no overflow at any beta
@@ -350,6 +358,7 @@ def sign_invariance_check(inst: FiniteInstance, beta: float, patterns: int = 1, 
     The diagonal depends on the field weights only through their absolute
     values, so the return value is floating-point noise (contract: <= 1e-8).
     """
+    _check_beta(beta)
     rng = _rng(seed)
     base, anchor = _exp_diag(inst, beta)
     worst = 0.0
@@ -365,6 +374,9 @@ def _replica_phis(spec, field, N, beta, root, replicas, freeze, method, probes, 
     """Pressures of the replicas drawn from seeds [*root, r + 1], one pool task per stack or
     stochastic replica.  With ``freeze`` every replica takes the field weights drawn from [*root, 0]."""
     _check_N(N)  # before the stack size is shifted by it
+    _check_beta(beta)
+    if method not in ("auto", "exact", "stochastic"):
+        raise ValidationError(f"method must be auto, exact or stochastic, got {method!r}")
     seeds = [[*root, r + 1] for r in range(replicas)]
     frozen = sample_weights(field, N, np.random.default_rng([*root, 0])).astype(float) if freeze else None
 
@@ -484,11 +496,10 @@ def limiting_pressure(spec, field: FieldSpec, beta: float) -> float:
     return qgrem_pressure(model_hull(spec), beta, field).value
 
 
-def check_limit_range(spec, field: FieldSpec, beta: float, tol: float):
-    """Reject a limit whose gap cannot be checked against the absolute tolerance ``tol``: its
-    rounding, LIMIT_ROUNDING relative, must stay a hundred times below tol, and squares of
+def check_limit_range(limit: float, beta: float, tol: float):
+    """Reject a limit (at ``beta``) whose gap cannot be checked against the absolute tolerance ``tol``:
+    its rounding, LIMIT_ROUNDING relative, must stay a hundred times below tol, and squares of
     pressures near it must not overflow.  So |limit| <= min(1e10 tol, MAX_LIMIT), else DomainError."""
-    limit = limiting_pressure(spec, field, beta)
     bound = min(tol / (100.0 * LIMIT_ROUNDING), MAX_LIMIT)
     if not abs(limit) <= bound:  # a nan tolerance fails too
         raise DomainError(f"verify supports limits up to {bound:.3g} in size at gap tolerance {tol:g}, "

@@ -34,7 +34,6 @@ from tfglass import (
     transition_scan,
 )
 from tfglass.model import ln_2cosh
-from tfglass.quantum import BlockPhase
 from tfglass.verify import exact_pressure
 
 from conftest import random_nonhier, random_spec
@@ -110,10 +109,10 @@ def test_criterion_3_worked_scalars():
         abs(grem_res.value - GREM_QUANTUM_B12_G1),
         abs(gamma_c - REM_GAMMA_C_B1),
     )
-    phases_ok = grem_res.block_phases == (BlockPhase.CLASSICAL, BlockPhase.PARAMAGNETIC)
-    ok = max(errs) <= 1e-6 and phases_ok
+    cut_ok = grem_res.argmax == 1  # block 1 classical, block 2 paramagnetic
+    ok = max(errs) <= 1e-6 and cut_ok
     report(3, ok, f"REM pressure err {errs[0]:.1e}, two-block err {errs[1]:.1e} "
-                  f"(phases {'CP ok' if phases_ok else 'WRONG'}), critical field err {errs[2]:.1e} (tol 1e-6)")
+                  f"(cut K=1 {'ok' if cut_ok else 'WRONG'}), critical field err {errs[2]:.1e} (tol 1e-6)")
 
 
 def test_criterion_4_per_length_concavity():

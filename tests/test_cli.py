@@ -71,6 +71,22 @@ class TestPressure:
         assert max(classical) <= gc + step
         assert min(para) >= gc - step
 
+    def test_block_phases_switch_at_every_critical_field_of_a_smooth_hull(self, tmp_path):
+        # 50 segments, a gamma step (0.005) below the smallest gap between critical fields (0.0104)
+        xs = [k / 50 for k in range(1, 51)]
+        model = tmp_path / "smooth50.json"
+        model.write_text(json.dumps({"kind": "piecewise_linear", "x": xs, "A": [1.5 * x - 0.5 * x * x for x in xs]}))
+        out = tmp_path / "p.csv"
+        assert main(["pressure", "--model", str(model), "--beta", "1.2", "--gamma", "0:2:401",
+                     "--out", str(out)]) == 0
+        crit = qgrem_critical_fields(concave_hull(load_model(str(model))), 1.2)
+        _, rows = read_rows(out)
+        for row in rows:
+            k = int(row[4])
+            assert row[5] == "C" * k + "P" * (50 - k)
+            assert k == sum(gc > float(row[1]) for gc in crit), row  # classical below its critical field
+        assert {int(row[4]) for row in rows} == set(range(51))
+
     def test_rows_match_library_exactly_after_roundtrip(self, models, tmp_path):
         out = tmp_path / "p.csv"
         main(["pressure", "--model", str(models["grem2"]), "--beta", "0.5:2.5:7",
@@ -417,6 +433,30 @@ class TestVerifyRange:
             rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0", "--beta", "1e8",
                        "--N", "4", "--replicas", "4", "--seed", "7", "--tol-limit-gap", tol, "--out", "-"])
         assert rc == code
+
+
+class TestVerifyWorkOnce:
+    def test_one_range_reduction_and_one_sign_instance_per_command(self, models, monkeypatch, capsys):
+        # the range pass reduces the model once, then convergence_study once per beta; the
+        # sign-invariance instance (seed [seed, 987] at every beta) is drawn once
+        from tfglass import cli, verify
+
+        calls = {"model_hull": 0, "sign_instance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        hull_calls = counted("model_hull", verify.model_hull)
+        monkeypatch.setattr(cli, "model_hull", hull_calls)
+        monkeypatch.setattr(verify, "model_hull", hull_calls)
+        monkeypatch.setattr(cli, "sample_instance", counted("sign_instance", cli.sample_instance))
+        assert main(["verify", "--model", str(models["nh2"]), "--field", "constant:1.0", "--beta", "0.8:1.2:2",
+                     "--N", "4", "--replicas", "8", "--seed", "7", "--tol-limit-gap", "1", "--out", "-"]) == 0
+        assert calls == {"model_hull": 3, "sign_instance": 1}
+        assert capsys.readouterr().err.count("PASS sign-invariance") == 2
 
 
 def last_error(capsys):

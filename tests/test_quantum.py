@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tfglass import (
-    BlockPhase,
     DistributionSpec,
     DomainError,
     FieldSpec,
@@ -25,7 +24,7 @@ from tfglass import (
     qgrem_pressure,
     transition_scan,
 )
-from tfglass import classical, quantum
+from tfglass import classical
 from tfglass.classical import partial_pressures
 from tfglass.model import LN2, FieldLaw, hull_from_points, ln_2cosh
 
@@ -57,8 +56,7 @@ class TestQgremPressure:
     def test_worked_two_block_case(self):
         res = qgrem_pressure(GREM, 1.2, FieldSpec.constant(1.0))
         assert res.value == pytest.approx(GREM_QUANTUM_B12_G1, abs=1e-12)
-        assert res.argmax == 1
-        assert res.block_phases == (BlockPhase.CLASSICAL, BlockPhase.PARAMAGNETIC)
+        assert (res.argmax, GREM.m) == (1, 2)  # block 1 classical, block 2 paramagnetic
 
     def test_zero_field_reduces_to_classical(self, rng):
         for _ in range(120):
@@ -87,15 +85,6 @@ class TestQgremPressure:
         res = qgrem_pressure(GREM, 1.2, FieldSpec.constant(25.0))
         assert res.argmax == 0
         assert res.value == pytest.approx(paramagnetic_pressure(FieldSpec.constant(25.0), 1.2))
-        assert set(res.block_phases) == {BlockPhase.PARAMAGNETIC}
-
-    def test_phases_are_monotone(self, rng):
-        for _ in range(100):
-            hull = concave_hull(random_spec(rng))
-            res = qgrem_pressure(hull, float(rng.uniform(0.1, 3.0)),
-                                 FieldSpec.constant(float(rng.uniform(0, 3))))
-            tags = [p is BlockPhase.PARAMAGNETIC for p in res.block_phases]
-            assert tags == sorted(tags)
 
     def test_monotone_in_field_strength(self, rng):
         for _ in range(40):
@@ -137,8 +126,7 @@ class TestOneCutRule:
             else:
                 field = FieldSpec.empirical(rng.uniform(-2.0, 2.0, int(rng.integers(1, 50))))
             res = qgrem_pressure(hull, 0.0, field)
-            assert res.argmax == 0
-            assert set(res.block_phases) == {BlockPhase.PARAMAGNETIC}
+            assert res.argmax == 0  # every block paramagnetic
             assert res.value == paramagnetic_pressure(field, 0.0) == math.log(2.0)
 
     def test_magnetization_takes_the_pressure_cut(self, rng):
@@ -241,7 +229,7 @@ class TestQcremPressure:
     def test_argmax_is_cut_point(self):
         res = qcrem_pressure(GREM, 1.2, FieldSpec.constant(1.0))
         assert res.argmax == pytest.approx(0.5)
-        assert res.block_phases == (BlockPhase.CLASSICAL, BlockPhase.PARAMAGNETIC)
+        assert res.argmax == GREM.support[0]  # the cut K = 1: block 1 classical, block 2 paramagnetic
 
 
 class TestClosedForm:
@@ -437,7 +425,6 @@ def test_warm_cache_matches_cold_bitwise():
 
     def cold(fn, *args, **kwargs):
         classical._table.cache_clear()
-        quantum._phases.cache_clear()
         return fn(*args, **kwargs)
 
     for hull, scan_kw in hulls:
@@ -489,8 +476,7 @@ def extreme_fields(rng, hull, beta):
 def assert_cell_is_the_summation_loop(hull, beta, field):
     value, k, y_k = loop_qgrem_pressure(hull, beta, field)
     res = qgrem_pressure(hull, beta, field)
-    phases = tuple(BlockPhase.CLASSICAL if l < k else BlockPhase.PARAMAGNETIC for l in range(hull.m))
-    assert (res.value.hex(), res.argmax, res.block_phases) == (value.hex(), k, phases)
+    assert (res.value.hex(), res.argmax) == (value.hex(), k)
     qres = qcrem_pressure(hull, beta, field)
     assert (qres.value.hex(), qres.argmax.hex()) == (value.hex(), y_k.hex())
     if beta > 0.0 and field.law is FieldLaw.CONSTANT:

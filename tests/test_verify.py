@@ -2,6 +2,7 @@
 
 import math
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from tfglass import (
     CapacityError,
     DistributionSpec,
+    DomainError,
     FieldSpec,
     NonHierModel,
     ValidationError,
@@ -209,10 +211,16 @@ class TestNumpyExactPath:
 
 
 class TestFiniteInstanceChecks:
-    @pytest.mark.parametrize("N", [0, STOCH_MAX_N + 1])
+    @pytest.mark.parametrize("N", [STOCH_MAX_N + 1])
     def test_size_outside_the_gate_is_a_capacity_error(self, N):
         with pytest.raises(CapacityError):
             FiniteInstance(N, np.zeros(4), np.zeros(2), 0)
+
+    def test_no_spins_is_a_validation_error(self):
+        # one rule for N: an instance rejects N = 0 as sample_instance and the drivers do (exit 2,
+        # not the capacity exit 4)
+        with pytest.raises(ValidationError, match="N=0"):
+            FiniteInstance(0, np.zeros(1), np.zeros(0), 0)
 
     @pytest.mark.parametrize("field, value", [
         ("potential", np.zeros(15)),
@@ -234,6 +242,40 @@ class TestFiniteInstanceChecks:
             exact_pressure(replace(inst, **{field: values}), 1.0)
         with pytest.raises(ValidationError, match="finite"):
             stochastic_pressure(replace(inst, **{field: values}), 1.0, 4)
+
+
+class TestFiniteEntryChecks:
+    """Every finite-size entry rejects a beta outside [0, inf), as the closed forms do, and the
+    drivers an unknown method, before any replica is drawn.  Without the checks a nan beta gave a
+    nan pressure or a passing report, beta = -1 gave numbers, and an unknown method ran the
+    stochastic path."""
+
+    @pytest.fixture
+    def no_replicas(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a replica was drawn")
+
+        monkeypatch.setattr(verify, "sample_instance", draw)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+    def test_bad_beta_is_a_domain_error(self, beta, no_replicas):
+        inst = sample_instance(GREM_SPEC, CONST1, 6, 1)
+        calls = [lambda: exact_pressure(inst, beta), lambda: stochastic_pressure(inst, beta, 8),
+                 lambda: sign_invariance_check(inst, beta),
+                 lambda: concentration_check(GREM_SPEC, CONST1, 4, beta, 200, 1),
+                 lambda: convergence_study(GREM_SPEC, CONST1, beta, [6], 2, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainError, match="beta must be finite and >= 0"):
+                    call()
+
+    @pytest.mark.parametrize("method", ["dense", "Exact", ""])
+    def test_unknown_method_is_a_validation_error(self, method, no_replicas):
+        with pytest.raises(ValidationError, match="method"):
+            convergence_study(GREM_SPEC, CONST1, 1.2, [6], 2, 1, method=method, probes=8)
+        with pytest.raises(ValidationError, match="method"):
+            concentration_check(GREM_SPEC, CONST1, 4, 1.2, 200, 1, method=method, probes=8)
 
 
 class TestExactPressure:
