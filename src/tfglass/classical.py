@@ -5,9 +5,9 @@ Each hull segment contributes a partial pressure
     phi_l(beta) = beta^2 abar_l / 2 + L_l ln 2        for beta <= beta_l,
     phi_l(beta) = beta * sqrt(2 ln 2 * abar_l * L_l)  for beta >  beta_l,
 
-with freezing temperature beta_l = sqrt(2 ln 2 / gamma_l).  The total pressure
-is the sum over segments; the formula is valid verbatim when the increments do
-not add up to one, which reduced non-hierarchical models rely on.
+with freezing temperature beta_l = sqrt(2 ln 2 / gamma_l), hull.freeze_betas.
+The total pressure is the sum over segments, valid verbatim when the
+increments do not add up to one, which reduced non-hierarchical models rely on.
 
 Equivalently, per unit length a segment contributes
 min(beta sqrt(2 ln2 g), ln2 + beta^2 g / 2) at slope g, which makes the
@@ -32,9 +32,7 @@ _TABLE_CACHE_SIZE = 16  # (hull, beta) tables kept; one phase-diagram beta-row r
 class PartialPressureTable:
     """Per-segment pressure contributions at a fixed inverse temperature."""
 
-    beta: float
     phi: tuple[float, ...]
-    freeze_beta: tuple[float, ...]
     frozen: tuple[bool, ...]
     per_length: tuple[float, ...]  # phi_l / L_l, strictly decreasing in l
     prefix: tuple[float, ...]  # 0.0, phi_1, phi_1 + phi_2, ...: added left to right
@@ -58,14 +56,13 @@ def partial_pressures(hull: ConcaveHull, beta: float) -> PartialPressureTable:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _table(hull: ConcaveHull, beta: float) -> PartialPressureTable:
-    fbeta = tuple([math.sqrt(_TWO_LN2 / g_l) if g_l > 0.0 else math.inf for g_l in hull.slopes])
-    frozen = tuple([beta > b_l for b_l in fbeta])
+    frozen = tuple([beta > b_l for b_l in hull.freeze_betas])
     # a flat segment (a_l = 0) skips the quadratic term, which is 0, or nan where beta^2 overflows
     phi = tuple([beta * math.sqrt(_TWO_LN2 * a_l * L_l) if is_frozen
                  else (0.5 * beta * beta * a_l if a_l else 0.0) + L_l * LN2
                  for a_l, L_l, is_frozen in zip(hull.increments, hull.lengths, frozen)])
     per_length = tuple([p / L_l for p, L_l in zip(phi, hull.lengths)])
-    return PartialPressureTable(beta, phi, fbeta, frozen, per_length, tuple(accumulate(phi, initial=0.0)))
+    return PartialPressureTable(phi, frozen, per_length, tuple(accumulate(phi, initial=0.0)))
 
 
 def classical_pressure(hull: ConcaveHull, beta: float) -> float:

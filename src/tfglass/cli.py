@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ import numpy as np
 
 from .classical import classical_pressure
 from .errors import CapacityError, DomainError, ValidationError
-from .model import LN2, DistributionSpec, FieldSpec, _json_number, _json_numbers
+from .model import DistributionSpec, FieldSpec, _json_number, _json_numbers
 from .nonhier import NonHierModel, greedy_reduction, indices_of, model_hull
 from .quantum import magnetization, qgrem_critical_fields, qgrem_pressure, transition_scan
 from .verify import (concentration_check, convergence_study, sample_instance, sign_invariance_check,
@@ -192,18 +191,17 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def _limit_grid(args, *outs):
-    """Beta grid and labelled field laws (--field, or a constant law per --gamma point), with the
+    """Beta grid and field laws (--field, or a constant law per --gamma point), with the
     cell count gated and the output paths checked before the model is reduced (up to 1 s at n = 20)."""
     betas, law = parse_grid(args.beta), getattr(args, "field", None)  # phase-diagram takes --gamma alone
     if args.gamma is not None:
         if law is not None:
             raise UsageError("give either --gamma or --field, not both")
-        fields = [(_fmt(g), FieldSpec.constant(g)) for g in parse_grid(args.gamma)]
+        fields = [FieldSpec.constant(g) for g in parse_grid(args.gamma)]
     elif law is None:
         raise UsageError("need --field LAW or --gamma grid")
     else:
-        field = parse_field(law)
-        fields = [(field.label(), field)]
+        fields = [parse_field(law)]
     if len(betas) * len(fields) > GRID_MAX_POINTS:
         raise CapacityError(f"limit tables are gated at {GRID_MAX_POINTS} cells, "
                             f"got {len(betas)} x {len(fields)}")
@@ -212,16 +210,16 @@ def _limit_grid(args, *outs):
 
 
 def _cells(hull, betas, fields):
-    """(beta, label, field, qgrem_pressure result) for every cell of the grid, beta-major."""
+    """(beta, field, qgrem_pressure result) for every cell of the grid, beta-major."""
     for beta in betas:
-        for label, field in fields:
-            yield beta, label, field, qgrem_pressure(hull, beta, field)
+        for field in fields:
+            yield beta, field, qgrem_pressure(hull, beta, field)
 
 
 def _pressure_table(args, hull, betas, fields, columns, tail) -> int:
     """Rows of `pressure` and `nonhier`: beta, field, classical, quantum, then ``tail(result)``."""
-    rows = ((beta, label, classical_pressure(hull, beta), res.value, *tail(res))
-            for beta, label, _, res in _cells(hull, betas, fields))
+    rows = ((beta, field.label(), classical_pressure(hull, beta), res.value, *tail(res))
+            for beta, field, res in _cells(hull, betas, fields))
     _write_csv(args.out, ("beta", "gamma_or_law", "classical", "quantum", *columns), rows, _manifest(args))
     return EXIT_OK
 
@@ -242,8 +240,8 @@ def cmd_phase_diagram(args) -> int:
     out_tr = args.transitions_out or _derived_transitions_path(args.out)
     betas, fields = _limit_grid(args, args.out, out_tr)  # both paths, before either file is written
     hull = model_hull(model)
-    grid_rows = ((beta, label, res.value, magnetization(hull, beta, field.gamma) if beta > 0 else 0.0)
-                 for beta, label, field, res in _cells(hull, betas, fields))
+    grid_rows = ((beta, field.label(), res.value, magnetization(hull, beta, field.gamma) if beta > 0 else 0.0)
+                 for beta, field, res in _cells(hull, betas, fields))
     manifest = _manifest(args)
     _write_csv(args.out, ("beta", "gamma", "pressure", "m_z"), grid_rows, manifest)
 
@@ -254,8 +252,7 @@ def cmd_phase_diagram(args) -> int:
                                     second_order_slope_tol=args.slope_tol, cluster_gap=args.cluster_gap),
                     key=lambda t: -t.gamma), start=1))
     glass = (("glass", l, beta_l, qgrem_critical_fields(hull, beta_l)[l - 1], "second", 0.0)
-             for l, slope in enumerate(hull.slopes, start=1) if slope > 0.0
-             for beta_l in (math.sqrt(2.0 * LN2 / slope),))
+             for l, (slope, beta_l) in enumerate(zip(hull.slopes, hull.freeze_betas), start=1) if slope > 0.0)
     tr_rows = (row for rows in (magnetic, glass) for row in rows)
     _write_csv(out_tr, ("kind", "index", "beta", "gamma", "order", "jump"), tr_rows, manifest)
     return EXIT_OK
@@ -290,6 +287,8 @@ def cmd_verify(args) -> int:
     Ns = parse_int_list(args.N)
     if not Ns:
         raise UsageError("verify needs a non-empty --N list")
+    if not args.tol_limit_gap > 0.0:  # a nan fails too
+        raise ValidationError(f"--tol-limit-gap must be > 0, got {args.tol_limit_gap:g}")
     _check_writable(args.out)
     hull = model_hull(model)
     for beta in betas:  # the supported range, before any replica runs

@@ -132,11 +132,11 @@ class DistributionSpec:
 class ConcaveHull:
     """Concave envelope of a profile, as segments between its kinks.
 
-    The fields are the kinks y_1 < ... < y_m (y_0 = 0 implicit) and the
-    increments abar_l.  The lengths L_l = y_l - y_{l-1} and the slopes
-    gamma_l = abar_l / L_l are derived once, at construction; the slopes are
-    strictly decreasing because collinear breakpoints are merged into one
-    segment.  For reduced models the domain may end before 1: span = y_m.
+    Fields: the kinks y_1 < ... < y_m (y_0 = 0 implicit) and the increments
+    abar_l.  Derived once, at construction: the lengths L_l = y_l - y_{l-1},
+    the slopes gamma_l = abar_l / L_l (strictly decreasing: collinear
+    breakpoints merge into one segment) and the freezing temperatures
+    beta_l = sqrt(2 ln 2 / gamma_l), inf when flat.  span = y_m, below 1 for a reduced model.
     """
 
     support: tuple[float, ...]
@@ -157,9 +157,11 @@ class ConcaveHull:
         slopes = tuple(a / L for a, L in zip(increments, lengths))
         if not all(map(math.isfinite, slopes)) or any(b >= a for a, b in zip(slopes, slopes[1:])):
             raise ValidationError("hull slopes must be finite and strictly decreasing")
+        freeze_betas = tuple([math.sqrt(2.0 * LN2 / g) if g > 0.0 else math.inf for g in slopes])
         # hashed once, not per memo lookup; object.__setattr__ keeps attribute reads fast, vars() would not
         for name, value in (("support", support), ("increments", increments), ("lengths", lengths),
-                            ("slopes", slopes), ("_hash", hash((support, increments)))):
+                            ("slopes", slopes), ("freeze_betas", freeze_betas),
+                            ("_hash", hash((support, increments)))):
             object.__setattr__(self, name, value)
 
     def __hash__(self):

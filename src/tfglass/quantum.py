@@ -147,10 +147,11 @@ def qcrem_closed_form(hull: ConcaveHull, beta: float, gamma: float) -> float:
     _require_full_span(hull)
     if not 0.0 <= gamma < math.inf:
         raise DomainError("gamma must be finite and >= 0")
+    table = partial_pressures(hull, beta)  # checks beta before p is formed from it
     p = float(ln_2cosh(beta * gamma))
     if not math.isfinite(p):
         raise DomainError("the paramagnetic pressure p(beta * gamma) overflows")
-    _, g = _cut(hull, partial_pressures(hull, beta), p)
+    _, g = _cut(hull, table, p)
     return crem_truncated_pressure(hull, beta, g) + (1.0 - g) * p
 
 

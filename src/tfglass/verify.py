@@ -118,6 +118,17 @@ def _check_beta(beta: float):
         raise DomainError("beta must be finite and >= 0")
 
 
+def _check_scale(inst: FiniteInstance, beta: float):
+    """Reject a beta that the solvers cannot take on this instance, before any eigensolve or
+    Lanczos step.  They form beta (lambda - lo) for eigen- and Ritz values lambda in [lo, hi], and
+    hi - lo is at most twice the Gershgorin scale max|U| + sum|b|; one more factor 2 covers rounding."""
+    _check_beta(beta)
+    scale = float(np.abs(inst.potential).max()) + float(np.abs(inst.field_weights).sum())
+    if not math.isfinite(4.0 * beta * scale):
+        raise DomainError(f"beta={beta:g} is too large for this instance: beta times its spectral scale "
+                          f"{scale:.6g} overflows")
+
+
 def sample_instance(spec, field: FieldSpec, N: int, seed) -> FiniteInstance:
     """Draw one disorder realization; bit-identical replay for a fixed seed.
 
@@ -184,7 +195,7 @@ def _pressure_from_levels(levels: np.ndarray, beta: float, N: int):
 
 def exact_pressure(inst: FiniteInstance, beta: float) -> float:
     """(1/N) ln Tr exp(-beta H) from the full spectrum."""
-    _check_beta(beta)
+    _check_scale(inst, beta)
     return float(_pressure_from_levels(_spectra([inst]), beta, inst.N)[0])
 
 
@@ -333,7 +344,7 @@ def stochastic_pressure(
     quadratic forms.  ``degree`` is the largest Lanczos step count.  With
     ``tol``, an error above it is flagged (converged=False), not hidden.
     """
-    _check_beta(beta)
+    _check_scale(inst, beta)
     lo, log_g, log_r, steps = _stochastic_traces(inst, [beta], probes, seed)
     shift = float(log_g.max())
     samples = np.exp(log_g[0] - shift)  # trace samples over exp(shift): no overflow at any beta
@@ -358,7 +369,7 @@ def sign_invariance_check(inst: FiniteInstance, beta: float, patterns: int = 1, 
     The diagonal depends on the field weights only through their absolute
     values, so the return value is floating-point noise (contract: <= 1e-8).
     """
-    _check_beta(beta)
+    _check_scale(inst, beta)
     rng = _rng(seed)
     base, anchor = _exp_diag(inst, beta)
     worst = 0.0
@@ -377,12 +388,17 @@ def _replica_phis(spec, field, N, beta, root, replicas, freeze, method, probes, 
     _check_beta(beta)
     if method not in ("auto", "exact", "stochastic"):
         raise ValidationError(f"method must be auto, exact or stochastic, got {method!r}")
+    dense = method == "exact" or (method == "auto" and N <= 10)
+    if not dense and probes < 1:
+        raise ValidationError("need at least one probe")
     seeds = [[*root, r + 1] for r in range(replicas)]
     frozen = sample_weights(field, N, np.random.default_rng([*root, 0])).astype(float) if freeze else None
 
     def draw(seed):
         inst = sample_instance(spec, field, N, seed)
-        return inst if frozen is None else replace(inst, field_weights=frozen)
+        inst = inst if frozen is None else replace(inst, field_weights=frozen)
+        _check_scale(inst, beta)
+        return inst
 
     def stochastic(seed):
         value = stochastic_pressure(draw(seed), beta, probes, seed=seed).value
@@ -398,7 +414,7 @@ def _replica_phis(spec, field, N, beta, root, replicas, freeze, method, probes, 
     def exact(chunk):  # one stack
         return _pressure_from_levels(_spectra([draw(seed) for seed in chunk]), beta, N)
 
-    if method == "exact" or (method == "auto" and N <= 10):
+    if dense:
         k = max(1, STACK_BYTES >> (2 * N + 3))  # a matrix holds 4^N 8-byte entries
         return np.concatenate(_pool_map(exact, [seeds[i:i + k] for i in range(0, len(seeds), k)], workers))
     return np.array(_pool_map(stochastic, seeds, workers))
@@ -511,7 +527,6 @@ class ConvergenceRow:
     N: int
     mean: float
     std: float
-    limit: float
     gap: float
 
 
@@ -552,6 +567,6 @@ def convergence_study(
     for N in Ns:
         phis = _replica_phis(spec, field, N, beta, [seed, N], replicas, freeze_field, method, probes, workers)
         mean = float(phis.mean())
-        rows.append(ConvergenceRow(N, mean, float(phis.std(ddof=1)), limit, abs(mean - limit)))
+        rows.append(ConvergenceRow(N, mean, float(phis.std(ddof=1)), abs(mean - limit)))
         phis_all.append(tuple(float(p) for p in phis))
     return ConvergenceStudy(beta, limit, tuple(rows), tuple(phis_all))

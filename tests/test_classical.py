@@ -42,7 +42,7 @@ class TestPartialPressures:
         table = partial_pressures(REM, 1.0)
         assert table.phi[0] == pytest.approx(0.5 + LN2, abs=1e-12)
         assert table.frozen == (False,)
-        assert table.freeze_beta[0] == pytest.approx(math.sqrt(2 * LN2))
+        assert REM.freeze_betas[0] == pytest.approx(math.sqrt(2 * LN2))
 
     def test_rem_frozen(self):
         table = partial_pressures(REM, 1.2)
@@ -51,8 +51,8 @@ class TestPartialPressures:
 
     def test_two_block_mixed(self):
         table = partial_pressures(GREM, 1.2)
-        assert table.freeze_beta[0] == pytest.approx(0.99509309008895194, abs=1e-12)
-        assert table.freeze_beta[1] == pytest.approx(1.5200298029533777, abs=1e-12)
+        assert GREM.freeze_betas[0] == pytest.approx(0.99509309008895194, abs=1e-12)
+        assert GREM.freeze_betas[1] == pytest.approx(1.5200298029533777, abs=1e-12)
         assert table.frozen == (True, False)
         assert table.phi[0] == pytest.approx(GREM_PHI1_B12, abs=1e-12)
         assert table.phi[1] == pytest.approx(GREM_PHI2_B12, abs=1e-12)
@@ -69,7 +69,7 @@ class TestPartialPressures:
     def test_freezing_temperatures_increase(self, rng):
         for _ in range(50):
             hull = concave_hull(random_spec(rng))
-            fb = partial_pressures(hull, 1.0).freeze_beta
+            fb = hull.freeze_betas
             assert all(b2 > b1 for b1, b2 in zip(fb, fb[1:]))
 
     def test_per_length_strictly_decreasing(self, rng):
@@ -119,7 +119,6 @@ class TestTableMemo:
         tables = [partial_pressures(GREM, b) for b in (1, 1.0, np.float64(1.0), np.array(1.0))]
         assert all(t is tables[0] for t in tables)
         assert classical._table.cache_info().misses == 1
-        assert tables[0].beta == 1.0 and type(tables[0].beta) is float
 
     def test_per_length_and_total_are_computed_once(self):
         table = partial_pressures(GREM, 0.9)
@@ -127,7 +126,9 @@ class TestTableMemo:
         assert table.total == float(sum(table.phi))
 
     def test_table_reads_lengths_off_the_hull(self):
-        assert "lengths" not in [f.name for f in dataclasses.fields(classical.PartialPressureTable)]
+        # and its freezing temperatures; beta is the cache key
+        fields = [f.name for f in dataclasses.fields(classical.PartialPressureTable)]
+        assert fields == ["phi", "frozen", "per_length", "prefix"]
         table = partial_pressures(GREM, 0.9)
         assert table.per_length == tuple(p / L for p, L in zip(table.phi, GREM.lengths))
 
@@ -191,7 +192,7 @@ class TestClassicalPressure:
         # includes betas straddling freezing points
         for _ in range(60):
             hull = concave_hull(random_spec(rng))
-            beta = float(rng.choice(partial_pressures(hull, 1.0).freeze_beta))
+            beta = float(rng.choice(hull.freeze_betas))
             for b0 in (float(rng.uniform(0.0, 3.0)), beta):
                 jump = abs(classical_pressure(hull, b0 + 1e-6) - classical_pressure(hull, b0))
                 assert jump < 1e-4
@@ -238,7 +239,7 @@ class TestFreezingBoundary:
         # kink the table marks frozen
         for _ in range(100):
             hull = concave_hull(random_spec(rng, max_blocks=30))
-            for beta_l in partial_pressures(hull, 1.0).freeze_beta:
+            for beta_l in hull.freeze_betas:
                 if math.isfinite(beta_l):
                     frozen = partial_pressures(hull, beta_l).frozen
                     last = max((l for l, f in enumerate(frozen) if f), default=None)

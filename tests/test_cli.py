@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import tfglass
-from tfglass import DistributionSpec, concave_hull, qgrem_critical_fields, qgrem_pressure
-from tfglass.cli import GRID_MAX_POINTS, load_model, main, parse_grid
+from tfglass import DistributionSpec, concave_hull, concentration_check, qgrem_critical_fields, qgrem_pressure
+from tfglass.cli import GRID_MAX_POINTS, _fmt, load_model, main, parse_grid
 from tfglass.model import FieldSpec
 
 from oracles import REM_PRESSURE_B12
@@ -119,6 +119,23 @@ class TestPressure:
             tracemalloc.stop()
         assert rc == 0 and len(read_rows(out)[1]) == 100_000
         assert peak <= 48.0, f"tracemalloc peak {peak:.1f} MB"
+
+    @pytest.mark.parametrize("argv, labels", [
+        (["--gamma", "0:1:3"], ["0", "0.5", "1"]),
+        (["--gamma", "0.1"], ["0.10000000000000001"]),
+        (["--field", "constant:0.1"], ["0.10000000000000001"]),
+        (["--field", "gaussian:0.5,0.3"], ["gaussian:0.5;0.29999999999999999"]),
+        (["--field", "discrete:{dir}/atoms.json"], ["discrete:0.5@0.25;1.5@0.75"]),
+        (["--field", "empirical:{dir}/samples.json"], ["empirical:n=3"]),
+    ], ids=["gamma-grid", "gamma-point", "constant", "gaussian", "discrete", "empirical"])
+    def test_law_column_is_pinned_for_every_law(self, models, tmp_path, argv, labels):
+        (tmp_path / "atoms.json").write_text(json.dumps([[0.5, 0.25], [1.5, 0.75]]))
+        (tmp_path / "samples.json").write_text(json.dumps([0.1, 0.7, 1.3]))
+        out = tmp_path / "p.csv"
+        assert main(["pressure", "--model", str(models["grem2"]), "--beta", "0.5:1:2",
+                     *[a.format(dir=tmp_path) for a in argv], "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [row[1] for row in rows] == labels * 2  # beta-major
 
     def test_field_labels_keep_column_structure(self, models, tmp_path):
         # law labels must not smuggle commas into the CSV
@@ -259,6 +276,19 @@ class TestPhaseDiagram:
         for _, _, beta, gamma, _, _ in magnetic:
             assert float(gamma) in qgrem_critical_fields(hull, float(beta))
 
+    def test_glass_rows_sit_at_the_hull_freezing_temperatures(self, tmp_path):
+        # one glass line per segment of positive slope: the flat tail has none
+        model = tmp_path / "flat-tail.json"
+        model.write_text(json.dumps({"kind": "step", "x": [0.3, 0.6, 1.0], "jumps": [0.6, 0.4, 0.0]}))
+        assert main(["phase-diagram", "--model", str(model), "--beta", "1.2", "--gamma", "0:2:3",
+                     "--out", str(tmp_path / "pd.csv")]) == 0
+        hull = concave_hull(load_model(str(model)))
+        assert hull.m == 3 and hull.freeze_betas[-1] == math.inf
+        _, rows = read_rows(tmp_path / "pd-transitions.csv")
+        glass = [(int(r[1]), float(r[2]), float(r[3])) for r in rows if r[0] == "glass"]
+        assert glass == [(l, beta_l, qgrem_critical_fields(hull, beta_l)[l - 1])
+                         for l, beta_l in enumerate(hull.freeze_betas[:2], start=1)]
+
     def test_grid_contains_pressure_and_magnetization(self, models, tmp_path):
         out = tmp_path / "grid.csv"
         main(["phase-diagram", "--model", str(models["grem2"]), "--beta", "1.2",
@@ -380,6 +410,16 @@ class TestVerify:
             assert abs(phi - exact_pressure(inst, 8.0)) <= 3.0 * err, r
 
 
+    def test_concentration_line_equals_the_library_report(self, models, capsys):
+        # 200 replicas turn the concentration check on; at N = 4 it takes the exact path
+        rc = main(["verify", "--model", str(models["grem2"]), "--field", "constant:1.0", "--beta", "1.2",
+                   "--N", "4,5", "--replicas", "200", "--seed", "7", "--tol-limit-gap", "1", "--out", "-"])
+        rep = concentration_check(load_model(str(models["grem2"])), FieldSpec.constant(1.0), 4, 1.2, 200, 7)
+        assert rc == 0 and rep.passed
+        line = ("PASS concentration beta=1.2 N=4: fractions " + "/".join(_fmt(f) for f in rep.fractions)
+                + " vs bounds " + "/".join(_fmt(b + s) for b, s in zip(rep.bounds, rep.slacks)))
+        assert line in capsys.readouterr().err.splitlines()
+
     def test_csv_alone_on_stdout(self, models, capsys):
         # the skipped-concentration note and the PASS/FAIL lines go to stderr
         rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
@@ -433,6 +473,22 @@ class TestVerifyRange:
             rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0", "--beta", "1e8",
                        "--N", "4", "--replicas", "4", "--seed", "7", "--tol-limit-gap", tol, "--out", "-"])
         assert rc == code
+
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_tolerance_must_be_positive(self, models, capsys, monkeypatch, tol):
+        # -1 read "verify supports limits up to -1e+10 in size", after the model was reduced
+        from tfglass import cli
+
+        def no_reduction(model):
+            raise AssertionError("the model was reduced before the tolerance was checked")
+
+        monkeypatch.setattr(cli, "model_hull", no_reduction)
+        rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0", "--beta", "1.2",
+                   "--N", "4", "--replicas", "4", "--seed", "7", "--tol-limit-gap", tol, "--out", "-"])
+        assert rc == 2
+        error = last_error(capsys)
+        assert error["error"] == "validation" and "--tol-limit-gap must be > 0" in error["message"]
 
 
 class TestVerifyWorkOnce:

@@ -178,6 +178,17 @@ class TestConcaveHull:
             got = float_bits(hull.support, hull.increments, hull.lengths, hull.slopes)
             assert got == float_bits(*four_list_hull(points)), points
 
+    def test_freezing_temperatures_are_derived_bitwise(self, rng):
+        # beta_l = sqrt(2 ln 2 / gamma_l), inf on a flat segment: every other hull ends in one
+        for k in range(200):
+            points = random_spec(rng, normalized=bool(rng.integers(0, 2))).points
+            if k % 2:
+                points = [(0.8 * x, v) for x, v in points] + [(1.0, points[-1][1])]
+            hull = hull_from_points(points)
+            assert (hull.slopes[-1] == 0.0) == bool(k % 2)
+            want = [math.sqrt(2.0 * math.log(2.0) / g) if g > 0.0 else math.inf for g in hull.slopes]
+            assert float_bits(hull.freeze_betas) == float_bits(want)
+
     @pytest.mark.parametrize("xs, values, support, slopes", COLLINEAR_RUNS)
     def test_collinear_run_is_one_segment(self, xs, values, support, slopes):
         hull = hull_from_points(zip(xs, values))

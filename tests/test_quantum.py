@@ -415,6 +415,15 @@ def test_non_finite_argument_rejected(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+def test_closed_form_names_a_bad_beta_as_qgrem_pressure_does(beta):
+    # the closed form formed p(beta * gamma) first, so a nan or infinite beta read as its overflow
+    for call in (lambda: qcrem_closed_form(GREM, beta, 1.0),
+                 lambda: qgrem_pressure(GREM, beta, FieldSpec.constant(1.0))):
+        with pytest.raises(DomainError, match="beta must be finite and >= 0"):
+            call()
+
+
 def test_warm_cache_matches_cold_bitwise():
     """One segment table serves every field of a beta-row; every value, cut
     and transition is the one a freshly built table gives (the hulls and the

@@ -1,6 +1,8 @@
 """Finite-size sampling, exact and stochastic pressures, concentration."""
 
+import dataclasses
 import math
+import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -269,6 +271,48 @@ class TestFiniteEntryChecks:
             for call in calls:
                 with pytest.raises(DomainError, match="beta must be finite and >= 0"):
                     call()
+
+    def test_beta_too_large_for_the_instance_is_a_domain_error(self):
+        # beta (lambda - lo) overflowed at beta = 1e308: exact_pressure gave inf, the stochastic
+        # estimate nan, and the sign check 0.0, a pass, each after numpy overflow warnings
+        inst = sample_instance(GREM_SPEC, CONST1, 6, 1)
+        calls = [lambda: exact_pressure(inst, 1e308), lambda: stochastic_pressure(inst, 1e308, 8),
+                 lambda: sign_invariance_check(inst, 1e308),
+                 lambda: concentration_check(GREM_SPEC, CONST1, 4, 1e308, 200, 1),
+                 lambda: convergence_study(GREM_SPEC, CONST1, 1e308, [6], 2, 1),
+                 lambda: convergence_study(GREM_SPEC, CONST1, 1e308, [11], 2, 1, probes=8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainError, match="too large for this instance"):
+                    call()
+
+    def test_largest_accepted_beta_gives_finite_values(self):
+        # the bound is 4 beta (max|U| + sum|b|) finite: twice the spectral width, with room for rounding
+        inst = sample_instance(GREM_SPEC, CONST1, 6, 1)
+        scale = float(np.abs(inst.potential).max()) + float(np.abs(inst.field_weights).sum())
+        beta = sys.float_info.max / (4.0 * scale) * (1.0 - 1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [exact_pressure(inst, beta), stochastic_pressure(inst, beta, 8).value,
+                      sign_invariance_check(inst, beta, patterns=3)]
+            with pytest.raises(DomainError):
+                exact_pressure(inst, 2.0 * beta)
+        assert all(map(math.isfinite, values))
+
+    @pytest.mark.parametrize("probes", [0, -1])
+    def test_no_probes_on_the_stochastic_path_is_rejected_before_any_draw(self, probes, no_replicas):
+        # the N = 12 instance was drawn before the probe count was read
+        for method in ("stochastic", "auto"):  # auto takes the stochastic path above N = 10
+            with pytest.raises(ValidationError, match="at least one probe"):
+                convergence_study(GREM_SPEC, CONST1, 1.2, [12], 2, 1, method=method, probes=probes)
+            with pytest.raises(ValidationError, match="at least one probe"):
+                concentration_check(GREM_SPEC, CONST1, 12, 1.2, 200, 1, method=method, probes=probes)
+
+    def test_dense_path_ignores_the_probe_count(self):
+        want = convergence_study(GREM_SPEC, CONST1, 1.2, [6], 2, 1, method="exact")
+        assert convergence_study(GREM_SPEC, CONST1, 1.2, [6], 2, 1, method="exact", probes=0) == want
+        assert convergence_study(GREM_SPEC, CONST1, 1.2, [6], 2, 1, probes=0) == want  # auto at N <= 10
 
     @pytest.mark.parametrize("method", ["dense", "Exact", ""])
     def test_unknown_method_is_a_validation_error(self, method, no_replicas):
@@ -666,6 +710,9 @@ class TestConvergenceStudy:
         study = convergence_study(ZERO_SPEC, f, 1.0, [4], replicas=6, seed=9, freeze_field=True)
         # zero potential: Phi_N is a function of the (frozen) weights only
         assert len(set(study.replica_phis[0])) == 1
+
+    def test_rows_leave_the_limit_to_the_study(self):
+        assert [f.name for f in dataclasses.fields(verify.ConvergenceRow)] == ["N", "mean", "std", "gap"]
 
     @pytest.mark.parametrize("replicas", [0, 1])
     def test_needs_two_replicas(self, replicas):
