@@ -80,8 +80,6 @@ def crem_truncated_pressure(hull: ConcaveHull, beta: float, z: float) -> float:
     flags frozen (beta > beta_l strictly, so beta = 0 freezes nothing).  At
     z = span this reproduces classical_pressure exactly.
     """
-    if not 0.0 <= beta < math.inf:
-        raise DomainError("beta must be finite and >= 0")
     if not 0.0 <= z <= hull.span + 1e-15:
         raise DomainError(f"z={z} outside [0, {hull.span}]")
     k = partial_pressures(hull, beta).frozen.count(True)

@@ -118,6 +118,23 @@ def _check_beta(beta: float):
         raise DomainError("beta must be finite and >= 0")
 
 
+def _check_dense(N: int):
+    if N > EXACT_MAX_N:
+        raise CapacityError(f"dense diagonalization gated at N <= {EXACT_MAX_N}; use stochastic_pressure")
+
+
+def _dense_path(N: int, method: str, probes: int) -> bool:
+    """Whether the drivers solve N densely (auto: N <= 10); raises on a bad method, a gated N or no probes."""
+    if method not in ("auto", "exact", "stochastic"):
+        raise ValidationError(f"method must be auto, exact or stochastic, got {method!r}")
+    dense = method == "exact" or (method == "auto" and N <= 10)
+    if dense:
+        _check_dense(N)
+    elif probes < 1:
+        raise ValidationError("need at least one probe")
+    return dense
+
+
 def _check_scale(inst: FiniteInstance, beta: float):
     """Reject a beta that the solvers cannot take on this instance, before any eigensolve or
     Lanczos step.  They form beta (lambda - lo) for eigen- and Ritz values lambda in [lo, hi], and
@@ -166,8 +183,7 @@ def _entries(inst: FiniteInstance):
 def _dense(insts) -> np.ndarray:
     """H of equal-size instances in one (k, 2^N, 2^N) stack: each slot is zeroed and gets
     each entry of the flip table added, as scipy's CSR ``toarray()`` does, so they are bitwise equal."""
-    if insts[0].N > EXACT_MAX_N:
-        raise CapacityError(f"dense diagonalization gated at N <= {EXACT_MAX_N}; use stochastic_pressure")
+    _check_dense(insts[0].N)
     dim = 1 << insts[0].N
     stack = np.empty((len(insts), dim, dim))
     for inst, slot in zip(insts, stack):
@@ -377,20 +393,15 @@ def sign_invariance_check(inst: FiniteInstance, beta: float, patterns: int = 1, 
         signs = rng.integers(0, 2, inst.N) * 2.0 - 1.0
         flipped = replace(inst, field_weights=inst.field_weights * signs)
         diag, _ = _exp_diag(flipped, beta, anchor=anchor)
-        worst = max(worst, float(np.max(np.abs(diag - base) / base)))
+        # equal entries are never divided (0/0 where both underflow); a nan or inf ratio reaches the result
+        dev = np.divide(np.abs(diag - base), base, out=np.zeros_like(base), where=diag != base)
+        worst = float(np.max(dev, initial=worst))
     return worst
 
 
-def _replica_phis(spec, field, N, beta, root, replicas, freeze, method, probes, workers) -> np.ndarray:
-    """Pressures of the replicas drawn from seeds [*root, r + 1], one pool task per stack or
-    stochastic replica.  With ``freeze`` every replica takes the field weights drawn from [*root, 0]."""
-    _check_N(N)  # before the stack size is shifted by it
-    _check_beta(beta)
-    if method not in ("auto", "exact", "stochastic"):
-        raise ValidationError(f"method must be auto, exact or stochastic, got {method!r}")
-    dense = method == "exact" or (method == "auto" and N <= 10)
-    if not dense and probes < 1:
-        raise ValidationError("need at least one probe")
+def _replica_phis(spec, field, N, beta, root, replicas, freeze, dense, probes, workers) -> np.ndarray:
+    """Pressures of the replicas drawn from seeds [*root, r + 1] on the path ``_dense_path`` chose, one pool
+    task per stack or stochastic replica.  With ``freeze`` all take the weights drawn from [*root, 0]."""
     seeds = [[*root, r + 1] for r in range(replicas)]
     frozen = sample_weights(field, N, np.random.default_rng([*root, 0])).astype(float) if freeze else None
 
@@ -433,21 +444,15 @@ def _pool_map(fn, items, workers):
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    N: int
-    beta: float
-    replicas: int
     mean: float
     std: float
-    t_values: tuple[float, ...]
-    thresholds: tuple[float, ...]
-    fractions: tuple[float, ...]
+    fractions: tuple[float, ...]  # one per CONCENTRATION_T_VALUES entry, as are bounds and slacks
     bounds: tuple[float, ...]
     slacks: tuple[float, ...]
-    passed_per_t: tuple[bool, ...]
 
     @property
     def passed(self) -> bool:
-        return all(self.passed_per_t)
+        return all(f <= b + s for f, b, s in zip(self.fractions, self.bounds, self.slacks))
 
 
 def concentration_check(
@@ -471,27 +476,18 @@ def concentration_check(
     """
     if replicas < 200:
         raise ValidationError("concentration check needs at least 200 replicas")
-    phis = _replica_phis(spec, field, N, beta, [_seed_int(seed)], replicas, True, method, probes, workers)
+    seed = _seed_int(seed)
+    _check_N(N)
+    _check_beta(beta)
+    dense = _dense_path(N, method, probes)
+    phis = _replica_phis(spec, field, N, beta, [seed], replicas, True, dense, probes, workers)
     mean = float(phis.mean())
     devs = np.abs(phis - mean)
-    thresholds, fractions, bounds, slacks, passed = [], [], [], [], []
-    for t in CONCENTRATION_T_VALUES:
-        thr = t * beta / math.sqrt(N)
-        # 1e-12 floor: a deterministic pressure (beta = 0) must not register
-        # exceedances through ulp noise of the mean
-        frac = float(np.mean(devs > thr + 1e-12))
-        bound = 2.0 * math.exp(-t * t / 4.0)
-        slack = 3.0 * math.sqrt(bound * (1.0 - bound) / replicas) if bound < 1.0 else 0.0
-        thresholds.append(thr)
-        fractions.append(frac)
-        bounds.append(bound)
-        slacks.append(slack)
-        passed.append(frac <= bound + slack)
-    return ConcentrationReport(
-        N, beta, replicas, mean, float(phis.std(ddof=1)),
-        CONCENTRATION_T_VALUES, tuple(thresholds), tuple(fractions),
-        tuple(bounds), tuple(slacks), tuple(passed),
-    )
+    # 1e-12 floor: ulp noise of the mean must not count as exceedances of a deterministic pressure (beta = 0)
+    fractions = tuple(float((devs > t * beta / math.sqrt(N) + 1e-12).mean()) for t in CONCENTRATION_T_VALUES)
+    bounds = tuple(2.0 * math.exp(-t * t / 4.0) for t in CONCENTRATION_T_VALUES)
+    slacks = tuple(3.0 * math.sqrt(b * (1.0 - b) / replicas) if b < 1.0 else 0.0 for b in bounds)
+    return ConcentrationReport(mean, float(phis.std(ddof=1)), fractions, bounds, slacks)
 
 
 def _seed_int(seed) -> int:
@@ -563,9 +559,10 @@ def convergence_study(
     for N in Ns:  # every N before any replica runs
         _check_N(N)
     limit = limiting_pressure(spec, field, beta)
+    paths = [_dense_path(N, method, probes) for N in Ns]
     rows, phis_all = [], []
-    for N in Ns:
-        phis = _replica_phis(spec, field, N, beta, [seed, N], replicas, freeze_field, method, probes, workers)
+    for N, dense in zip(Ns, paths):
+        phis = _replica_phis(spec, field, N, beta, [seed, N], replicas, freeze_field, dense, probes, workers)
         mean = float(phis.mean())
         rows.append(ConvergenceRow(N, mean, float(phis.std(ddof=1)), abs(mean - limit)))
         phis_all.append(tuple(float(p) for p in phis))

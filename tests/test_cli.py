@@ -225,19 +225,52 @@ class TestErrors:
         grid = parse_grid(f"0:1:{GRID_MAX_POINTS}")
         assert len(grid) == GRID_MAX_POINTS and grid[0] == 0.0 and grid[-1] == 1.0
 
-    @pytest.mark.parametrize("Ns, code", [("-4", 2), ("6,-4", 2), ("0", 2), ("6,21", 4)])
+    @pytest.mark.parametrize("Ns, code", [("-4", 2), ("6,-4", 2), ("0", 2), ("6,21", 4),
+                                          ("6,14 --method exact", 4), ("6,12 --probes 0", 2)])
     def test_every_N_is_checked_before_any_replica_runs(self, models, capsys, monkeypatch, Ns, code):
-        # N = -4 would reach a negative shift count (exit 1), and N = 6 would run before it
+        # N = -4 would reach a negative shift count (exit 1), and N = 6 would run before it; the
+        # exact gate and the probe count of N = 14 and N = 12 were read after every N = 6 replica
         from tfglass import verify
 
         def no_replicas(*args, **kwargs):
             raise AssertionError("a replica ran before every N was checked")
 
-        monkeypatch.setattr(verify, "_replica_phis", no_replicas)
+        for name in ("_replica_phis", "sample_instance"):
+            monkeypatch.setattr(verify, name, no_replicas)
         rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0", "--beta", "1.2",
-                   "--N", Ns, "--replicas", "2", "--seed", "1", "--out", "-"])
+                   "--N", *Ns.split(), "--replicas", "2", "--seed", "1", "--out", "-"])
         assert rc == code
-        assert last_error(capsys)["error"] == ("validation" if code == 2 else "capacity")
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == ("validation" if code == 2 else "capacity")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, code, fragment", [
+        (["pressure", "--model", "{list}", "--beta", "1.2", "--gamma", "1.0"], 2,
+         "model document must be a JSON object"),
+        (["pressure", "--model", "{spline}", "--beta", "1.2", "--gamma", "1.0"], 2, "unknown model kind 'spline'"),
+        (["pressure", "--model", "{rem}", "--beta", "1.2", "--field", "uniform:1"], 1, "unknown field law 'uniform'"),
+        (["pressure", "--model", "{rem}", "--beta", "1:2", "--gamma", "1.0"], 1,
+         "grid must be start:stop:count, got '1:2'"),
+        (["pressure", "--model", "{rem}", "--beta", "2:1:3", "--gamma", "1.0"], 1, "grid start must be <= stop"),
+        (["pressure", "--model", "{rem}", "--beta", "1.2"], 1, "need --field LAW or --gamma grid"),
+        (["verify", "--model", "{rem}", "--field", "constant:1.0", "--beta", "1.2", "--N", "6,x",
+          "--replicas", "2", "--seed", "1"], 1, "bad integer list '6,x'"),
+        (["verify", "--model", "{rem}", "--field", "constant:1.0", "--beta", "1.2", "--N", ",",
+          "--replicas", "2", "--seed", "1"], 1, "verify needs a non-empty --N list"),
+    ], ids=["model-not-an-object", "unknown-model-kind", "unknown-field-law", "two-part-grid",
+            "grid-start-above-stop", "no-field-or-gamma", "bad-N-list", "empty-N-list"])
+    def test_rejection_is_one_json_line(self, models, tmp_path, capsys, argv, code, fragment):
+        (tmp_path / "list.json").write_text("[1.0]")
+        (tmp_path / "spline.json").write_text(json.dumps({"kind": "spline", "x": [1.0], "A": [1.0]}))
+        paths = {**models, "list": tmp_path / "list.json", "spline": tmp_path / "spline.json"}
+        assert main([arg.format(**paths) for arg in argv] + ["--out", "-"]) == code
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == ("usage" if code == 1 else "validation")
+        assert fragment in error["message"]
+        assert captured.out == ""
 
     def test_missing_seed_for_verify(self, models):
         rc = main(["verify", "--model", str(models["rem"]), "--field", "constant:1.0",
@@ -551,6 +584,33 @@ class TestUnwritableOutput:
         assert str(bad) in errors[0]["message"]
         assert captured.out == ""
         assert not paths["ok"].exists()
+
+    def test_permission_denied_exits_2(self, models, tmp_path, capsys, monkeypatch):
+        # root ignores file modes, so the denial comes from os.access
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        out = tmp_path / "p.csv"
+        assert main(["pressure", "--model", str(models["grem2"]), "--beta", "1.2", "--gamma", "0:1:2",
+                     "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "validation",
+                                    "message": f"cannot write output file {str(out)!r}: permission denied"}
+        assert not out.exists()
+
+    def test_a_failed_write_exits_2(self, models, tmp_path, capsys, monkeypatch):
+        # the path passes the check before the work, and the write itself fails (a full disk, say)
+        def full(self, *args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full)
+        out = tmp_path / "p.csv"
+        assert main(["pressure", "--model", str(models["grem2"]), "--beta", "1.2", "--gamma", "0:1:2",
+                     "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "validation"
+        assert error["message"].startswith(f"cannot write output file {str(out)!r}: ")
+        assert "No space left on device" in error["message"]
+        assert not out.exists()
 
     def test_derived_transitions_path_is_checked_before_the_grid_is_written(self, models, tmp_path, capsys):
         derived = tmp_path / "grid-transitions.csv"

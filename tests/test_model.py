@@ -101,6 +101,19 @@ class TestDistributionSpec:
         with pytest.raises(ValidationError):
             make()
 
+    @pytest.mark.parametrize("make, fragment", [
+        (lambda: DistributionSpec.step([], []), "at least one breakpoint"),
+        (lambda: DistributionSpec.step([1.0], [1.5], normalized=False), "must not exceed 1"),
+    ], ids=["no-breakpoint", "above-one"])
+    def test_rejects_an_empty_or_oversized_profile(self, make, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            make()
+
+    @pytest.mark.parametrize("x", [-0.1, 1.5, math.nan])
+    def test_value_outside_the_unit_interval_is_a_domain_error(self, x):
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            DistributionSpec.rem().value_at(x)
+
     def test_unnormalized_flag_permits_partial_mass(self):
         spec = DistributionSpec.step([0.5, 1.0], [0.2, 0.8], normalized=False)
         assert spec.total == pytest.approx(0.8)
@@ -226,6 +239,24 @@ class TestConcaveHull:
             assert hull.value_at(y) == pytest.approx(spec.value_at(y), abs=1e-12)
         assert all(b < a for a, b in zip(hull.slopes, hull.slopes[1:]))
         assert hull.total == pytest.approx(spec.total, abs=1e-12)
+
+
+class TestHullChecks:
+    def test_negative_increment_rejected(self):
+        with pytest.raises(ValidationError, match="increments must be non-negative"):
+            ConcaveHull((0.5, 1.0), (0.7, -0.1))
+
+    @pytest.mark.parametrize("y", [-0.1, 1.0 + 1e-14, math.nan])
+    def test_value_outside_the_span_is_a_domain_error(self, y):
+        with pytest.raises(DomainError, match="outside"):
+            concave_hull(DistributionSpec.from_jumps([0.7, 0.3], [0.5, 1.0])).value_at(y)
+
+    def test_value_within_rounding_past_the_span_is_the_total(self):
+        # up to 1e-15 past the last kink reads as the end of the hull, not an error
+        hull = concave_hull(DistributionSpec.from_jumps([0.7, 0.3], [0.5, 1.0]))
+        y = hull.span + 5e-16
+        assert y > hull.span
+        assert hull.value_at(y) == sum(hull.increments) == pytest.approx(hull.value_at(hull.span), abs=1e-15)
 
 
 class TestRightDerivative:
@@ -369,6 +400,15 @@ class TestFieldSpecValidation:
     def test_negative_constant_rejected(self):
         with pytest.raises(ValidationError):
             FieldSpec.constant(-1.0)
+
+    @pytest.mark.parametrize("make, fragment", [
+        (lambda: FieldSpec.discrete([]), "at least one atom"),
+        (lambda: FieldSpec.discrete([(1.0, -0.5), (2.0, 1.5)]), "probabilities must be >= 0"),
+        (lambda: FieldSpec.gaussian(0.0, -1.0), "stddev must be >= 0"),
+    ], ids=["no-atom", "negative-probability", "negative-stddev"])
+    def test_malformed_law_rejected(self, make, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            make()
 
     def test_empty_empirical_rejected(self):
         with pytest.raises(ValidationError):

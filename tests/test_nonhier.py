@@ -88,6 +88,24 @@ class TestModelAndChainValidation:
         with pytest.raises(ValidationError):
             NonHierModel(2, lengths, weights)
 
+    @pytest.mark.parametrize("n, lengths, weights, fragment", [
+        (0, (), {}, "need at least one block"),
+        (2, (1.0,), {1: 1.0}, "one entry per block"),
+        (1, (1.0,), {2: 1.0}, "subset mask 2 outside 1..1"),
+    ], ids=["no-block", "short-lengths", "mask-beyond-the-blocks"])
+    def test_malformed_model_rejected(self, n, lengths, weights, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            NonHierModel(n, lengths, weights)
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"n": 1, "L": [1.0]}, "bad non-hierarchical model document"),
+        ([1.0], "bad non-hierarchical model document"),
+        ({"n": 1, "L": [1.0], "weights": {"a": 1.0}}, "bad subset entry 'a'"),
+    ], ids=["no-weights", "not-an-object", "non-integer-key"])
+    def test_malformed_document_rejected(self, doc, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            NonHierModel.from_json_dict(doc)
+
     def test_json_format(self):
         model = NonHierModel.from_json_dict(
             {"n": 2, "L": [0.5, 0.5], "weights": {"1": 0.2, "2": 0.3, "1,2": 0.5}}

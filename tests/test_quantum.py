@@ -415,6 +415,14 @@ def test_non_finite_argument_rejected(call, value):
         call(value)
 
 
+def test_hull_of_a_reduced_model_is_rejected():
+    # a hull spanning [0, 0.5] carries only half the spins
+    hull = hull_from_points([(0.5, 0.5)])
+    assert hull.span == 0.5
+    with pytest.raises(ValidationError, match=r"hull spanning \[0, 1\]"):
+        qgrem_pressure(hull, 1.2, FieldSpec.constant(1.0))
+
+
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
 def test_closed_form_names_a_bad_beta_as_qgrem_pressure_does(beta):
     # the closed form formed p(beta * gamma) first, so a nan or infinite beta read as its overflow

@@ -1,6 +1,7 @@
 """Finite-size sampling, exact and stochastic pressures, concentration."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -27,6 +28,7 @@ from tfglass import (
 from tfglass import verify
 from tfglass.model import ln_2cosh, sample_weights
 from tfglass.verify import (
+    EXACT_MAX_N,
     STACK_BYTES,
     STOCH_MAX_N,
     TRUNCATION_EPS,
@@ -116,6 +118,10 @@ class TestSampleInstance:
         # identity profile at resolution N: all N levels carry weight 1/N
         sib = sample_instance(spec, CONST1, 4, 9)
         assert np.array_equal(inst.potential, sib.potential)
+
+    def test_unsupported_spec_type(self):
+        with pytest.raises(ValidationError, match="unsupported spec type str"):
+            sample_instance("rem", CONST1, 4, 1)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -320,6 +326,81 @@ class TestFiniteEntryChecks:
             convergence_study(GREM_SPEC, CONST1, 1.2, [6], 2, 1, method=method, probes=8)
         with pytest.raises(ValidationError, match="method"):
             concentration_check(GREM_SPEC, CONST1, 4, 1.2, 200, 1, method=method, probes=8)
+
+
+def first_error(Ns, beta, method, probes):
+    """(class, message) of the first check that a driver request fails, or None: the range of every N,
+    beta, then the method and each N's path in N order (auto is dense at N <= 10)."""
+    for N in Ns:
+        if N < 1:
+            return ValidationError, f"N must be >= 1, got N={N}"
+        if N > STOCH_MAX_N:
+            return CapacityError, f"sampling gated at N <= {STOCH_MAX_N}, got N={N}"
+    if not beta >= 0.0:
+        return DomainError, "beta must be finite and >= 0"
+    if method not in ("auto", "exact", "stochastic"):
+        return ValidationError, f"method must be auto, exact or stochastic, got {method!r}"
+    for N in Ns:
+        if method == "exact" or (method == "auto" and N <= 10):
+            if N > EXACT_MAX_N:
+                return CapacityError, f"dense diagonalization gated at N <= {EXACT_MAX_N}; use stochastic_pressure"
+        elif probes < 1:
+            return ValidationError, "need at least one probe"
+    return None
+
+
+def first_error_at_each_N_s_turn(Ns, beta, method, probes):
+    """What a request failed before any draw when each N's path was checked at its own turn: every N's
+    range, beta, then the method and the first N's probes.  Its exact gate came after its first draw."""
+    error = first_error(Ns, beta, "auto", 1)  # the range and beta alone: auto with a probe passes every path
+    if error is None:
+        error = first_error(Ns[:1], beta, method, probes)
+    return None if error and error[1].startswith("dense diagonalization") else error
+
+
+class TestRequestRule:
+    """Both drivers check a whole request before any replica is drawn.  The exact gate and the
+    probe count were read when an N's turn came: `--N 10,14 --method exact --replicas 200` ran every
+    N = 10 replica before exiting 4, and `--N 10,12 --probes 0` before exiting 2."""
+
+    class Drawn(Exception):
+        pass
+
+    @pytest.fixture
+    def sentinel(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise self.Drawn
+
+        monkeypatch.setattr(verify, "sample_instance", draw)
+
+    def run_grid(self, n_lists, driver):
+        """Every request of the grid raises its first error without a draw, or reaches the sentinel."""
+        outcomes = set()
+        for Ns, method, probes, beta in itertools.product(n_lists, ["auto", "exact", "stochastic", "dense"],
+                                                          [-1, 0, 8], [1.2, math.nan]):
+            want = first_error(Ns, beta, method, probes)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(self.Drawn if want is None else want[0]) as raised:
+                    driver(Ns, beta, method, probes)
+            request = (Ns, beta, method, probes)
+            if want is not None:  # a typed error: the sentinel was never reached, so nothing was drawn
+                assert str(raised.value) == want[1], request
+                early = first_error_at_each_N_s_turn(Ns, beta, method, probes)
+                assert early is None or early == want, request
+            outcomes.add(want and want[1].split(",")[0])  # the check, without the N it names
+        assert len(outcomes) == 7  # each of the six checks fails somewhere in the grid, and some requests pass
+
+    def test_convergence_study(self, sentinel):
+        self.run_grid([[6], [11], [13], [14], [21], [0], [-1], [6, 12], [6, 14], [10, 12], [10, 14], [11, 14],
+                       [14, 6], [13, 21], [6, 0], [-1, 21], [21, -1]],
+                      lambda Ns, beta, method, probes: convergence_study(GREM_SPEC, CONST1, beta, Ns, 2, 1,
+                                                                         method=method, probes=probes))
+
+    def test_concentration_check(self, sentinel):
+        self.run_grid([[N] for N in (-1, 0, 6, 11, 13, 14, 21)],
+                      lambda Ns, beta, method, probes: concentration_check(GREM_SPEC, CONST1, Ns[0], beta, 200, 1,
+                                                                           method=method, probes=probes))
 
 
 class TestExactPressure:
@@ -638,6 +719,29 @@ class TestSignInvariance:
         flipped, _ = _exp_diag(replace(inst, field_weights=-inst.field_weights), 1.0, anchor)
         assert np.max(np.abs(flipped - base) / base) <= 1e-8
 
+    def test_zero_field_at_large_beta_is_zero_without_warnings(self):
+        # off the ground state both diagonals underflow to 0: 0/0 warned, and max(0.0, nan) kept 0.0
+        inst = sample_instance(GREM_SPEC, FieldSpec.constant(0.0), 6, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sign_invariance_check(inst, 1000.0, patterns=5) == 0.0
+
+    def test_a_nan_deviation_fails_the_contract(self, monkeypatch):
+        # a nan in the first flipped diagonal must reach the result, whatever later patterns give
+        exp_diag, calls = verify._exp_diag, []
+
+        def nan_once(inst, beta, anchor=None):
+            diag, anchor_out = exp_diag(inst, beta, anchor)
+            if anchor is not None and not calls:
+                calls.append(anchor)
+                diag = diag.copy()
+                diag[3] = math.nan
+            return diag, anchor_out
+
+        monkeypatch.setattr(verify, "_exp_diag", nan_once)
+        dev = sign_invariance_check(sample_instance(GREM_SPEC, CONST1, 6, 1), 1.0, patterns=3)
+        assert calls and not dev <= 1e-8
+
     def test_off_diagonals_do_change_sign(self):
         # the invariance is a statement about diagonals only
         inst = sample_instance(REM_SPEC, CONST1, 2, 1)
@@ -661,6 +765,10 @@ class TestConcentration:
         # N = -4 would reach numpy's negative-dimension error before sample_instance's check
         with pytest.raises(error, match=f"N={N}"):
             concentration_check(REM_SPEC, CONST1, N, 1.0, replicas=200, seed=0)
+
+    def test_report_keeps_what_is_read(self):
+        fields = [f.name for f in dataclasses.fields(verify.ConcentrationReport)]
+        assert fields == ["mean", "std", "fractions", "bounds", "slacks"]
 
     def test_infinite_temperature_is_deterministic(self):
         rep = concentration_check(REM_SPEC, CONST1, 4, 0.0, replicas=200, seed=1)
