@@ -54,12 +54,17 @@ def partial_pressures(hull: ConcaveHull, beta: float) -> PartialPressureTable:
     return _table(hull, float(beta))
 
 
+def _segment_phi(beta: float, a_l: float, L_l: float, frozen: bool) -> float:
+    """phi_l(beta) of the segment with increment a_l and length L_l; frozen is beta > beta_l."""
+    # a flat segment (a_l = 0) skips the quadratic term, which is 0, or nan where beta^2 overflows
+    return (beta * math.sqrt(_TWO_LN2 * a_l * L_l) if frozen
+            else (0.5 * beta * beta * a_l if a_l else 0.0) + L_l * LN2)
+
+
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _table(hull: ConcaveHull, beta: float) -> PartialPressureTable:
     frozen = tuple([beta > b_l for b_l in hull.freeze_betas])
-    # a flat segment (a_l = 0) skips the quadratic term, which is 0, or nan where beta^2 overflows
-    phi = tuple([beta * math.sqrt(_TWO_LN2 * a_l * L_l) if is_frozen
-                 else (0.5 * beta * beta * a_l if a_l else 0.0) + L_l * LN2
+    phi = tuple([_segment_phi(beta, a_l, L_l, is_frozen)
                  for a_l, L_l, is_frozen in zip(hull.increments, hull.lengths, frozen)])
     per_length = tuple([p / L_l for p, L_l in zip(phi, hull.lengths)])
     return PartialPressureTable(phi, frozen, per_length, tuple(accumulate(phi, initial=0.0)))

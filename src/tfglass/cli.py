@@ -28,7 +28,7 @@ from .classical import classical_pressure
 from .errors import CapacityError, DomainError, ValidationError
 from .model import DistributionSpec, FieldSpec, _json_number, _json_numbers
 from .nonhier import NonHierModel, greedy_reduction, indices_of, model_hull
-from .quantum import magnetization, qgrem_critical_fields, qgrem_pressure, transition_scan
+from .quantum import freezing_critical_field, magnetization, qgrem_pressure, transition_scan
 from .verify import (concentration_check, convergence_study, sample_instance, sign_invariance_check,
                      check_limit_range)
 
@@ -251,7 +251,7 @@ def cmd_phase_diagram(args) -> int:
                     transition_scan(hull, beta, first_order_jump_tol=args.jump_tol,
                                     second_order_slope_tol=args.slope_tol, cluster_gap=args.cluster_gap),
                     key=lambda t: -t.gamma), start=1))
-    glass = (("glass", l, beta_l, qgrem_critical_fields(hull, beta_l)[l - 1], "second", 0.0)
+    glass = (("glass", l, beta_l, freezing_critical_field(hull, l), "second", 0.0)
              for l, (slope, beta_l) in enumerate(zip(hull.slopes, hull.freeze_betas), start=1) if slope > 0.0)
     tr_rows = (row for rows in (magnetic, glass) for row in rows)
     _write_csv(out_tr, ("kind", "index", "beta", "gamma", "order", "jump"), tr_rows, manifest)
@@ -280,6 +280,17 @@ def cmd_nonhier(args) -> int:
     return _pressure_table(args, hull, betas, fields, ("argmax_D", "greedy_quantum", "greedy_order"), tail)
 
 
+def _sign_instance(model, field, Ns, seed):
+    """The sign-invariance instance, at the smallest N from min(min(Ns), 8) up to min(Ns) at which
+    every block holds a spin: min(Ns) does, as the first study drew it."""
+    for N in range(min(min(Ns), 8), min(Ns)):
+        try:
+            return sample_instance(model, field, N, [seed, 987])
+        except ValidationError:  # a block is empty at this N
+            pass
+    return sample_instance(model, field, min(Ns), [seed, 987])
+
+
 def cmd_verify(args) -> int:
     model = load_model(args.model)
     field = parse_field(args.field)
@@ -297,7 +308,7 @@ def cmd_verify(args) -> int:
 
     rows = []
     checks = []  # (name, passed, detail)
-    n_sign, sign_inst = min(min(Ns), 8), None
+    sign_inst = None
     for beta in betas:
         study = convergence_study(
             model, field, beta, Ns, args.replicas, args.seed,
@@ -316,10 +327,10 @@ def cmd_verify(args) -> int:
 
         # one instance serves every beta (its seed does not depend on beta); drawn after the first
         # study, so a bad --N is still reported by convergence_study
-        sign_inst = sign_inst or sample_instance(model, field, n_sign, [args.seed, 987])
+        sign_inst = sign_inst or _sign_instance(model, field, Ns, args.seed)
         dev = sign_invariance_check(sign_inst, beta, patterns=5, seed=args.seed)
         checks.append((
-            f"sign-invariance beta={_fmt(beta)} N={n_sign}",
+            f"sign-invariance beta={_fmt(beta)} N={sign_inst.N}",
             dev <= 1e-8,
             f"max relative deviation = {_fmt(dev)}",
         ))

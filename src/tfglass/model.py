@@ -248,7 +248,7 @@ class FieldSpec:
     samples: tuple[float, ...] = ()
 
     def __post_init__(self):
-        numbers = (self.gamma, self.mean, self.stddev, *self.samples, *sum(self.atoms, ()))
+        numbers = (self.gamma, self.mean, self.stddev, *self.samples, *(x for pair in self.atoms for x in pair))
         if not all(map(math.isfinite, numbers)):
             raise ValidationError("field law parameters must be finite")
         if self.law is FieldLaw.CONSTANT:
@@ -260,8 +260,8 @@ class FieldSpec:
             probs = [p for _, p in self.atoms]
             if any(p < 0 for p in probs):
                 raise ValidationError("atom probabilities must be >= 0")
-            if abs(sum(probs) - 1.0) > _SUM_TOL:
-                raise ValidationError(f"atom probabilities must sum to 1, got {sum(probs)!r}")
+            if abs((total := math.fsum(probs)) - 1.0) > _SUM_TOL:
+                raise ValidationError(f"atom probabilities must sum to 1, got {total!r}")
         elif self.law is FieldLaw.GAUSSIAN:
             if self.stddev < 0.0:
                 raise ValidationError("gaussian stddev must be >= 0")

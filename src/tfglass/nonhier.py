@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -97,7 +98,7 @@ class NonHierModel:
                 raise ValidationError("subset weights must be finite and >= 0")
             if a > 0:
                 clean[int(mask)] = float(a)
-        if abs(sum(clean.values()) - 1.0) > _SUM_TOL:
+        if abs(math.fsum(clean.values()) - 1.0) > _SUM_TOL:
             raise ValidationError("subset weights must sum to 1")
         object.__setattr__(self, "weights", clean)
 
@@ -152,41 +153,25 @@ class NonHierModel:
 
 @dataclass(frozen=True)
 class Chain:
-    """Nested subsets with unit cardinality steps, as bitmasks A_1 .. A_m.
-
-    The implicit A_0 is empty; an empty tuple is the chain ending at the
-    empty set.
+    """Nested subsets growing by one block per step: ``order`` lists the distinct 1-based
+    blocks as they join, and the bitmask A_k = sets[k-1] holds the first k; terminal is A_m.
+    The implicit A_0 is empty; an empty order is the chain ending at the empty set (terminal 0).
     """
 
-    sets: tuple[int, ...]
+    order: tuple[int, ...]
 
     def __post_init__(self):
-        prev = 0
-        for i, mask in enumerate(self.sets, start=1):
-            if prev & ~mask:
-                raise ValidationError("chain sets must be nested")
-            if bin(mask).count("1") != i:
-                raise ValidationError("chain cardinality must grow by one per step")
-            prev = mask
-        object.__setattr__(self, "sets", tuple(int(m) for m in self.sets))
+        order = tuple([int(i) for i in self.order])
+        if len(set(order)) != len(order):
+            raise ValidationError(f"chain order repeats a block: {order}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "sets", tuple(accumulate([mask_of((i,)) for i in order], int.__or__)))
+        object.__setattr__(self, "terminal", self.sets[-1] if order else 0)
 
     @classmethod
     def from_order(cls, order) -> "Chain":
         """Chain adding the given 1-based block indices one at a time."""
-        masks, acc = [], 0
-        for i in order:
-            acc |= mask_of((i,))
-            masks.append(acc)
-        return cls(tuple(masks))
-
-    @property
-    def terminal(self) -> int:
-        return self.sets[-1] if self.sets else 0
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        """Block indices in the order the chain adds them, one per unit step."""
-        return tuple((mask & ~prev).bit_length() for prev, mask in zip((0, *self.sets), self.sets))
+        return cls(tuple(order))
 
 
 @dataclass(frozen=True)
@@ -217,7 +202,7 @@ def chain_grem(model: NonHierModel, chain: Chain) -> ReducedGrem:
     if chain.terminal & ~model.full_mask:
         raise ValidationError("chain references blocks outside the model")
     position = {i: k for k, i in enumerate(chain.order)}
-    weights = [0.0] * len(chain.sets)
+    weights = [0.0] * len(chain.order)
     for sub, a in model.weights.items():
         if sub & ~chain.terminal == 0:
             weights[max(position[i] for i in indices_of(sub))] += a
@@ -264,7 +249,7 @@ def greedy_reduction(model: NonHierModel) -> tuple[Chain, ConcaveHull, tuple[int
         rounds[float(lengths[best])] = best
         current = best
     hull = hull_from_points([(x, atilde[s]) for x, s in rounds.items()])
-    return Chain.from_order(order), hull, tuple(rounds[y] for y in hull.support)
+    return Chain(order), hull, tuple(rounds[y] for y in hull.support)
 
 
 def model_hull(spec) -> ConcaveHull:

@@ -35,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .classical import PartialPressureTable, crem_truncated_pressure, partial_pressures
+from .classical import PartialPressureTable, _segment_phi, crem_truncated_pressure, partial_pressures
 from .errors import DomainError, ValidationError
 from .model import LN2, ConcaveHull, FieldSpec, ln_2cosh, paramagnetic_pressure
 
@@ -123,6 +123,16 @@ def qgrem_critical_fields(hull: ConcaveHull, beta: float) -> tuple[float, ...]:
     # exp(d_l)/2 = exp(d_l - ln2) >= 1 since d_l >= ln2 for every segment
     return tuple(_acosh_exp(d_l - LN2) / beta if g_l > 0.0 else 0.0
                  for d_l, g_l in zip(per_length, hull.slopes))
+
+
+def freezing_critical_field(hull: ConcaveHull, l: int) -> float:
+    """qgrem_critical_fields(hull, beta_l)[l - 1] at segment l's own freezing temperature beta_l,
+    from segment l alone with the same operations: where the glass line of segment l ends."""
+    beta, a_l, L_l = hull.freeze_betas[l - 1], hull.increments[l - 1], hull.lengths[l - 1]
+    _require_full_span(hull)
+    if not beta < math.inf:  # flat, or so shallow that 2 ln 2 / slope overflows
+        raise DomainError("critical fields need a finite beta > 0")
+    return _acosh_exp(_segment_phi(beta, a_l, L_l, False) / L_l - LN2) / beta  # unfrozen at beta_l itself
 
 
 def qcrem_pressure(hull: ConcaveHull, beta: float, field: FieldSpec) -> QuantumPressureResult:

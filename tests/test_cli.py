@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -322,6 +323,25 @@ class TestPhaseDiagram:
         assert glass == [(l, beta_l, qgrem_critical_fields(hull, beta_l)[l - 1])
                          for l, beta_l in enumerate(hull.freeze_betas[:2], start=1)]
 
+    def test_glass_rows_of_a_2000_segment_hull_read_one_segment_each(self, tmp_path):
+        # a full critical-field table per glass row took about 3 s at m = 2,000; every
+        # 20th row is checked bitwise against that table
+        m = 2000
+        xs = [k / m for k in range(1, m + 1)]
+        model = tmp_path / "smooth.json"
+        model.write_text(json.dumps({"kind": "piecewise_linear", "x": xs, "A": [1.5 * x - 0.5 * x * x for x in xs]}))
+        t0 = time.perf_counter()
+        assert main(["phase-diagram", "--model", str(model), "--beta", "1.2", "--gamma", "0:2:2",
+                     "--out", str(tmp_path / "pd.csv")]) == 0
+        elapsed = time.perf_counter() - t0
+        hull = concave_hull(load_model(str(model)))
+        _, rows = read_rows(tmp_path / "pd-transitions.csv")
+        glass = [(int(r[1]), float(r[2]), float(r[3])) for r in rows if r[0] == "glass"]
+        assert [l for l, _, _ in glass] == list(range(1, m + 1)) and hull.m == m
+        for l, beta_l, gamma in glass[::20]:
+            assert (beta_l, gamma) == (hull.freeze_betas[l - 1], qgrem_critical_fields(hull, beta_l)[l - 1])
+        assert elapsed < 1.0, elapsed
+
     def test_grid_contains_pressure_and_magnetization(self, models, tmp_path):
         out = tmp_path / "grid.csv"
         main(["phase-diagram", "--model", str(models["grem2"]), "--beta", "1.2",
@@ -522,6 +542,22 @@ class TestVerifyRange:
         assert rc == 2
         error = last_error(capsys)
         assert error["error"] == "validation" and "--tol-limit-gap must be > 0" in error["message"]
+
+
+class TestSignInvarianceN:
+    def test_a_block_empty_at_n8_moves_the_instance_to_the_first_n_without_one(self, tmp_path, capsys):
+        # ten blocks of length 0.1: at N = 8 the block ending at x = 0.5 is empty, at N = 10 none is
+        model = tmp_path / "step10.json"
+        model.write_text(json.dumps({"kind": "step", "x": [k / 10 for k in range(1, 11)], "jumps": [0.1] * 10}))
+        assert main(["verify", "--model", str(model), "--field", "constant:1.0", "--beta", "1.2", "--N", "10",
+                     "--replicas", "4", "--seed", "1", "--tol-limit-gap", "1", "--out", str(tmp_path / "v.csv")]) == 0
+        assert "PASS sign-invariance beta=1.2 N=10: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("Ns, n_sign", [("6,8", 6), ("9,12", 8), ("12", 8)])
+    def test_the_parent_choice_stands_where_no_block_is_empty(self, models, capsys, Ns, n_sign):
+        assert main(["verify", "--model", str(models["grem2"]), "--field", "constant:1.0", "--beta", "1.2",
+                     "--N", Ns, "--replicas", "2", "--seed", "1", "--tol-limit-gap", "1", "--out", "-"]) == 0
+        assert f"sign-invariance beta=1.2 N={n_sign}: " in capsys.readouterr().err
 
 
 class TestVerifyWorkOnce:

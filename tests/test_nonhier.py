@@ -58,13 +58,44 @@ class TestModelAndChainValidation:
         with pytest.raises(ValidationError):
             NonHierModel.from_subsets((0.5, 0.6), {(1, 2): 1.0})
 
-    def test_chain_must_nest(self):
-        with pytest.raises(ValidationError):
-            Chain((mask_of([1]), mask_of([2, 3])))
+    def test_forty_thousand_equal_weights_sum_to_one(self):
+        # added one by one, 40,000 weights 1/40000 miss 1 by 1e-12; fsum rounds the exact sum once
+        equal = [1 / 40000] * 40000
+        assert abs(sum(equal) - 1.0) > 1e-12
+        model = NonHierModel(16, (1 / 16,) * 16, dict(enumerate(equal, start=1)))
+        assert len(model.weights) == 40000
 
-    def test_chain_unit_steps(self):
-        with pytest.raises(ValidationError):
-            Chain((mask_of([1, 2]),))
+    def test_block_lengths_are_checked_as_the_hull_spans_them(self):
+        # the greedy hull spans the ascending sum of the lengths, so that sum is the one checked: within
+        # 1e-12 of 1 by fsum but not in ascending order, this model's hull would fail the span check
+        lengths = (0.078, 0.296, 0.626000000001)
+        assert abs(math.fsum(lengths) - 1.0) <= 1e-12 < abs(sum(lengths) - 1.0)
+        with pytest.raises(ValidationError, match="block lengths must sum to 1"):
+            NonHierModel(3, lengths, {7: 1.0})
+
+    @pytest.mark.parametrize("make", [lambda: Chain((1, 1)), lambda: Chain.from_order([2, 2])],
+                             ids=["constructor", "from_order"])
+    def test_chain_rejects_a_repeated_block(self, make):
+        with pytest.raises(ValidationError, match="repeats a block"):
+            make()
+
+    def test_chain_sets_accumulate_its_order(self, rng):
+        for _ in range(200):  # full orders and their prefixes, the empty one included
+            n = int(rng.integers(1, 9))
+            order = [int(i) + 1 for i in rng.permutation(n)][:int(rng.integers(0, n + 1))]
+            masks, acc = [], 0
+            for i in order:
+                acc |= 1 << (i - 1)
+                masks.append(acc)
+            chain = Chain(tuple(order))
+            assert chain.order == tuple(order) and chain.sets == tuple(masks)
+            assert chain.terminal == (masks[-1] if masks else 0)
+
+    def test_chain_equals_from_order(self, rng):
+        for n in range(1, 9):
+            order = tuple(int(i) + 1 for i in rng.permutation(n))
+            for o in (order, order[:n // 2]):
+                assert Chain(o) == Chain.from_order(o) and hash(Chain(o)) == hash(Chain.from_order(o))
 
     def test_from_order_roundtrip(self):
         chain = Chain.from_order([2, 1, 3])

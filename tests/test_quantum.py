@@ -27,6 +27,7 @@ from tfglass import (
 from tfglass import classical
 from tfglass.classical import partial_pressures
 from tfglass.model import LN2, FieldLaw, hull_from_points, ln_2cosh
+from tfglass.quantum import freezing_critical_field
 
 from conftest import random_field, random_spec, step_specs
 from oracles import (
@@ -179,6 +180,21 @@ class TestCriticalFields:
             for beta in (0.5, 1.2, 3.0):
                 want = [float(v) for v in mp_gamma_c(hull.increments, hull.lengths, beta)]
                 assert qgrem_critical_fields(hull, beta) == pytest.approx(want, abs=1e-11)
+
+    def test_freezing_field_is_the_critical_field_at_the_freezing_temperature(self, rng):
+        # bitwise, from segment l alone; a flat segment never freezes, nor one whose
+        # 2 ln 2 / slope overflows
+        flat_tail = concave_hull(DistributionSpec.step([0.3, 0.6, 1.0], [0.6, 1.0, 1.0]))
+        tiny = concave_hull(DistributionSpec.step([0.5, 1.0], [1e-310, 2e-310], normalized=False))
+        assert tiny.slopes[0] > 0.0 and tiny.freeze_betas[0] == math.inf
+        hulls = [concave_hull(random_spec(rng)) for _ in range(100)] + [REM, GREM3, flat_tail, tiny, smooth_hull(200)]
+        for hull in hulls:
+            for l, beta_l in enumerate(hull.freeze_betas, start=1):
+                if beta_l == math.inf:
+                    with pytest.raises(DomainError, match="finite beta > 0"):
+                        freezing_critical_field(hull, l)
+                else:
+                    assert freezing_critical_field(hull, l).hex() == qgrem_critical_fields(hull, beta_l)[l - 1].hex()
 
     def test_indicator_form_equals_maximum(self, rng):
         # cross-check of the two formulations of the constant-field pressure
@@ -419,8 +435,9 @@ def test_hull_of_a_reduced_model_is_rejected():
     # a hull spanning [0, 0.5] carries only half the spins
     hull = hull_from_points([(0.5, 0.5)])
     assert hull.span == 0.5
-    with pytest.raises(ValidationError, match=r"hull spanning \[0, 1\]"):
-        qgrem_pressure(hull, 1.2, FieldSpec.constant(1.0))
+    for call in (lambda: qgrem_pressure(hull, 1.2, FieldSpec.constant(1.0)), lambda: freezing_critical_field(hull, 1)):
+        with pytest.raises(ValidationError, match=r"hull spanning \[0, 1\]"):
+            call()
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
